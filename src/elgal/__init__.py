@@ -8,8 +8,6 @@ from .basis import (
     VelocityBasis,
     build_director_basis,
     build_velocity_basis,
-    project_Pn,
-    project_Rn,
     symbol_matrix,
 )
 from .config import ConfigError, SimulationConfig, parse_config
@@ -37,6 +35,7 @@ from .energies import (
     check_growth,
     check_legendre_hadamard,
     check_theta_bound,
+    energy_gradient,
     total_energy,
     variational_derivative,
 )
@@ -45,7 +44,6 @@ from .leslie import (
     LeslieCoefficients,
     check_dissipativity,
     check_parodi,
-    derive_constants,
     ericksen_pairing,
     ericksen_stress,
     leslie_stress,

@@ -305,6 +305,19 @@ class _TrigBasis:
         coefs = np.where(self.parity == COS, np.sqrt(2.0 * v) * zr, -np.sqrt(2.0 * v) * zi)
         return np.where(self.is_const, np.sqrt(v) * zr, coefs)
 
+    def project_stress_spec_half(self, spec_half_flat: np.ndarray) -> np.ndarray:
+        """Pairings (T : grad w_i) from a transformed (n^2 (n/2+1), 3, 3) array.
+
+        Constant modes have zero gradient and get zero pairings.
+        """
+        z = np.einsum(
+            "mi,mj,mij->m", self.vecs, self.kvecs.astype(float), spec_half_flat[self._half_flat]
+        )
+        zr = z.real
+        zi = np.where(self._conj, -z.imag, z.imag)
+        root = np.sqrt(2.0 * self.grid.volume)
+        return np.where(self.parity == COS, root * zi, root * zr)
+
     def analyze(self, field: np.ndarray) -> np.ndarray:
         """Grid-quadrature L^2 inner products with every retained mode."""
         n = self.grid.n
@@ -331,12 +344,6 @@ class DirectorBasis(_TrigBasis):
         super().__init__(grid, modes)
         self.lam4 = np.array(lam4)
 
-    @cached_property
-    def symbol_mesh_half(self) -> np.ndarray:
-        """M(k) on the half-spectrum mesh, shape (n, n, n/2+1, 3, 3)."""
-        km = self.grid.k_mesh_half.astype(float)
-        return np.einsum("ijml,...j,...l->...im", self.lam4, km, km)
-
     @property
     def sigmas(self) -> np.ndarray:
         return self.eigs
@@ -358,23 +365,6 @@ class DirectorBasis(_TrigBasis):
 
 class VelocityBasis(_TrigBasis):
     """Divergence-free transverse modes; k = 0 excluded."""
-
-    def project_stress_spec_half(self, spec_half_flat: np.ndarray) -> np.ndarray:
-        """Pairings (T : grad w_i) from a transformed (n^2 (n/2+1), 3, 3) array."""
-        z = np.einsum(
-            "mi,mj,mij->m", self.vecs, self.kvecs.astype(float), spec_half_flat[self._half_flat]
-        )
-        zr = z.real
-        zi = np.where(self._conj, -z.imag, z.imag)
-        root = np.sqrt(2.0 * self.grid.volume)
-        return np.where(self.parity == COS, root * zi, root * zr)
-
-    def project_stress(self, mat_field: np.ndarray) -> np.ndarray:
-        """Quadrature pairings (T : grad w_i) for a matrix field T."""
-        n = self.grid.n
-        if mat_field.shape != (n, n, n, 3, 3):
-            raise ValueError("expected a (n, n, n, 3, 3) matrix field")
-        return self.project_stress_spec_half(self.grid.rfft(mat_field).reshape(-1, 3, 3))
 
 
 def build_director_basis(
@@ -428,12 +418,3 @@ def build_velocity_basis(grid: SpectralGrid, n_modes: Optional[int] = None) -> V
     modes = [Mode(k=e[1], vec=e[4], eig=e[0], parity=e[3], branch=e[2]) for e in entries[:n_modes]]
     return VelocityBasis(grid, modes)
 
-
-def project_Rn(field: np.ndarray, basis: DirectorBasis) -> np.ndarray:
-    """L^2-orthogonal projection onto the retained director span."""
-    return basis.analyze(field)
-
-
-def project_Pn(field: np.ndarray, basis: VelocityBasis) -> np.ndarray:
-    """L^2-orthogonal (Leray) projection onto the retained solenoidal span."""
-    return basis.analyze(field)

@@ -54,7 +54,7 @@ from .energies import (
     WithField,
     WithFreedom,
 )
-from .leslie import LeslieCoefficients, derive_constants
+from .leslie import LeslieCoefficients
 
 
 class ConfigError(ValueError):
@@ -114,7 +114,7 @@ class SimulationConfig:
     assertions: dict = field(default_factory=dict)
 
     def build_coefficients(self) -> LeslieCoefficients:
-        return derive_constants(*self.mu)
+        return LeslieCoefficients(*self.mu)
 
     def build_model(self) -> FreeEnergyModel:
         if self.model_type in _BASE_TYPES:

@@ -26,7 +26,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .energies import total_energy, variational_derivative
+from .energies import energy_gradient, total_energy, variational_derivative
 from .leslie import ericksen_stress
 from .tensors import sym_skw
 
@@ -91,9 +91,8 @@ def energy_ledger(system, state, de_dt: float | None = None) -> EnergyRecord:
     """
     c = system.coeffs
     grid = system.grid
-    d, grad_d, q_raw = system.director_eval(state.d_hat)
+    d, grad_d, q_hat = system.director_eval(state.d_hat)
     v, grad_v = system.velocity_fields(state.v_hat)
-    q_hat = system.director_basis.analyze(q_raw)
     q = system.director_basis.synthesize(q_hat)
 
     sv, _ = sym_skw(grad_v)
@@ -390,7 +389,6 @@ def gateaux_check(model, basis, d_hat, psi_hat, eps: float = 1e-5) -> float:
 
     e_plus = energy(d_hat + eps * psi_hat)
     e_minus = energy(d_hat - eps * psi_hat)
-    d, grad_d, hess_d = basis.synthesize_with_derivatives(d_hat, hessian=True)
-    q_hat = basis.analyze(variational_derivative(model, d, grad_d, hess_d))
+    _, _, q_hat = energy_gradient(model, basis, d_hat)
     pairing = float(q_hat @ psi_hat)
     return abs((e_plus - e_minus) / (2.0 * eps) - pairing) / max(1.0, abs(pairing))

@@ -98,7 +98,8 @@ class GrowthExponents:
 class FreeEnergyModel(ABC):
     """Behavioral contract shared by all free-energy potentials."""
 
-    # Models with identically-zero terms advertise it so hot loops skip work.
+    # Models with identically-zero terms advertise it so the checkers and the
+    # strong-form variational derivative skip work.
     has_theta: bool = False
     has_mixed: bool = False
 
@@ -479,13 +480,37 @@ class ScaledOseenFrank(FreeEnergyModel):
 # Field-level operations
 
 
+def energy_gradient(model: FreeEnergyModel, basis, coefs):
+    """Director value, gradient and projected variational derivative of a state.
+
+    Returns ``(d, grad_d, q_hat)`` with
+
+        q_hat_i = (dF_dh(d, S), z_i) + (dF_dS(d, S), grad z_i),   S = grad d,
+
+    both pairings taken by grid quadrature over the retained modes z_i of
+    ``basis``.  This is the exact coefficient gradient of the quadrature
+    energy quad(F(d, grad d)), for every model.
+    """
+    grid = basis.grid
+    n = grid.n
+    d, grad_d, _ = basis.synthesize_with_derivatives(coefs)
+    dh, ds = model.gradients(d, grad_d)
+    spec = grid.rfft(np.concatenate([dh, ds.reshape(n, n, n, 9)], axis=-1)).reshape(-1, 12)
+    q_hat = basis.analyze_spec_half(spec[:, 0:3]) + basis.project_stress_spec_half(
+        spec[:, 3:12].reshape(-1, 3, 3)
+    )
+    return d, grad_d, q_hat
+
+
 def variational_derivative(model: FreeEnergyModel, d, grad_d, hess_d):
-    """Pointwise variational derivative of the energy functional.
+    """Pointwise (strong-form) variational derivative of the energy functional.
 
     q = dF_dh(d, S) - (Lam + Theta(d, S)) applied to the second gradient
         - d2F_dSdh(d, S) : S^T,   with S = grad d.
 
-    ``hess_d[..., i, a, b]`` holds the second partials of component i.
+    ``hess_d[..., i, a, b]`` holds the second partials of component i.  The
+    solver uses ``energy_gradient``; this form serves the Ericksen-identity
+    diagnostic and the tests as an oracle.
     """
     if grad_d.shape != d.shape + (3,) or hess_d.shape != d.shape + (3, 3):
         raise ValueError("grid shape mismatch between d, grad_d, hess_d")

@@ -75,11 +75,6 @@ class LeslieCoefficients:
         return self.gamma * (self.mu2 + self.mu3) - self.lam
 
 
-def derive_constants(mu1, mu2, mu3, mu4, mu5, mu6) -> LeslieCoefficients:
-    """Build a coefficient record; raises for mu3 == mu2 (gamma undefined)."""
-    return LeslieCoefficients(mu1, mu2, mu3, mu4, mu5, mu6)
-
-
 _CONDITION_NAMES = ("mu1", "mu4", "gamma", "anisotropy", "coupling")
 
 

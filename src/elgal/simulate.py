@@ -6,10 +6,12 @@ The retained-mode system is
     dd_i/dt = -((v.grad) d, z_i) + (skw(grad v) d, z_i)
               - lam (sym(grad v) d, z_i) - gamma (q, z_i)
 
-with q the L^2-projected variational derivative of the free energy and T the
-viscous stress with the co-rotational rate eliminated.  All nonlinear
-pairings are evaluated pseudospectrally with the strict 2/3-rule cutoff, so
-the semi-discrete energy balance holds to rounding error.
+with q the L^2-projected variational derivative of the free energy, taken in
+weak form, q_i = (dF_dh, z_i) + (dF_dS, grad z_i), and T the viscous stress
+with the co-rotational rate eliminated.  The weak form makes q the exact
+coefficient gradient of the quadrature energy for every model.  All
+nonlinear pairings are evaluated pseudospectrally with the strict 2/3-rule
+cutoff, so the semi-discrete energy balance holds to rounding error.
 
 Time stepping is fixed-step integrating-factor RK4: the diagonal linear
 parts (-gamma * sigma_i for director modes, -(mu4/2) |k|^2 for velocity
@@ -34,9 +36,9 @@ from .basis import (
     build_velocity_basis,
 )
 from .config import ConfigError, SimulationConfig
-from .energies import FreeEnergyModel, variational_derivative
+from .energies import FreeEnergyModel, energy_gradient
 from .leslie import LeslieCoefficients, check_dissipativity, leslie_stress_discrete
-from .tensors import contract32, sym_skw
+from .tensors import sym_skw
 
 BLOWUP_THRESHOLD = 1e12
 
@@ -91,9 +93,6 @@ class GalerkinSystem:
         v, grad_v, _ = self.velocity_basis.synthesize_with_derivatives(v_hat)
         return v, grad_v
 
-    def director_fields(self, d_hat: np.ndarray):
-        return self.director_basis.synthesize_with_derivatives(d_hat, hessian=True)
-
     def initial_projection(self, v0_field: np.ndarray, d0_field: np.ndarray) -> SpectralState:
         """State at t = 0 from grid fields: Leray-projected velocity, projected director."""
         return SpectralState(
@@ -103,48 +102,16 @@ class GalerkinSystem:
         )
 
     def director_eval(self, d_hat: np.ndarray):
-        """Director value, gradient, and raw variational derivative on the grid.
-
-        For constant-Hessian models the elastic part of q is applied as the
-        Fourier symbol inside one fused inverse transform; models with a
-        state-dependent Hessian part synthesize the second gradient instead.
-        """
-        basis = self.director_basis
-        grid = self.grid
-        n = grid.n
-        model = self.model
-        if model.has_theta:
-            d, grad_d, hess_d = basis.synthesize_with_derivatives(d_hat, hessian=True)
-            return d, grad_d, variational_derivative(model, d, grad_d, hess_d)
-        spec = basis.synthesize_spec_half(d_hat)
-        km = grid.k_mesh_half
-        grad_spec = (spec[..., :, None] * (1j * km)[..., None, :]).reshape(*spec.shape[:3], 9)
-        elastic_spec = np.einsum("...im,...m->...i", basis.symbol_mesh_half, spec)
-        out = grid.irfft(np.concatenate([spec, grad_spec, elastic_spec], axis=-1))
-        d = out[..., 0:3]
-        grad_d = out[..., 3:12].reshape(n, n, n, 3, 3)
-        q = model.dF_dh(d, grad_d) + out[..., 12:15]
-        if model.has_mixed:
-            q = q - contract32(model.d2F_dSdh(d, grad_d), np.swapaxes(grad_d, -1, -2))
-        return d, grad_d, q
-
-    def compute_q(self, d_hat: np.ndarray, fields=None):
-        """Unprojected variational derivative on the grid and its projection."""
-        if fields is None:
-            _, _, q_grid = self.director_eval(d_hat)
-        else:
-            d, grad_d, hess_d = fields
-            q_grid = variational_derivative(self.model, d, grad_d, hess_d)
-        return q_grid, self.director_basis.analyze(q_grid)
+        """Director value, gradient, and projected variational derivative q_hat."""
+        return energy_gradient(self.model, self.director_basis, d_hat)
 
     # -- vector field ---------------------------------------------------------
     def assemble_rhs(self, state: SpectralState):
         c = self.coeffs
         grid = self.grid
         n = grid.n
-        d, grad_d, q_raw = self.director_eval(state.d_hat)
+        d, grad_d, q_hat = self.director_eval(state.d_hat)
         v, grad_v = self.velocity_fields(state.v_hat)
-        q_hat = self.director_basis.analyze(q_raw)
         q = self.director_basis.synthesize(q_hat)
 
         sv, wv = sym_skw(grad_v)

@@ -43,6 +43,9 @@ def frob(a: Mat3, b: Mat3) -> np.ndarray:
 
 def contract42(g: Tensor4, a: Mat3) -> Mat3:
     """(G:A)_ij = sum_kl G_ijkl A_kl."""
+    if g.ndim == 4:
+        # A constant tensor acts as one 9x9 matrix on the flattened batch.
+        return (a.reshape(*a.shape[:-2], 9) @ g.reshape(9, 9).T).reshape(a.shape)
     return np.einsum("...ijkl,...kl->...ij", g, a)
 
 

@@ -30,8 +30,8 @@ from elgal.energies import (
     check_legendre_hadamard,
 )
 from elgal.leslie import (
+    LeslieCoefficients,
     check_dissipativity,
-    derive_constants,
     leslie_stress,
     leslie_stress_discrete,
     leslie_stress_original,
@@ -110,7 +110,7 @@ def test_criterion_05_parodi_zero_cross_term():
             mu3 = mu2 + 1.0
         mu5 = rng.uniform(-2, 2)
         mu6 = mu5 + mu2 + mu3  # Parodi's relation
-        c = derive_constants(1.0, mu2, mu3, 1.0, mu5, mu6)
+        c = LeslieCoefficients(1.0, mu2, mu3, 1.0, mu5, mu6)
         worst = max(worst, abs(c.kappa))
     cfg = _base_config(
         n=8,
@@ -131,9 +131,9 @@ def test_criterion_05_parodi_zero_cross_term():
 
 
 def test_criterion_06_dissipativity_checker():
-    accept = check_dissipativity(derive_constants(1.0, -1.0, 1.0, 1.0, 0.0, 1.0))
-    reject_mu4 = check_dissipativity(derive_constants(1.0, -1.0, 1.0, 0.0, 0.0, 1.0))
-    reject_aniso = check_dissipativity(derive_constants(1.0, 1.0, 2.0, 1.0, 0.0, 1.0))
+    accept = check_dissipativity(LeslieCoefficients(1.0, -1.0, 1.0, 1.0, 0.0, 1.0))
+    reject_mu4 = check_dissipativity(LeslieCoefficients(1.0, -1.0, 1.0, 0.0, 0.0, 1.0))
+    reject_aniso = check_dissipativity(LeslieCoefficients(1.0, 1.0, 2.0, 1.0, 0.0, 1.0))
     ok = (
         accept.passed
         and not reject_mu4.passed
@@ -329,7 +329,7 @@ def test_criterion_10_interpolation_relations():
 def test_criterion_11_leslie_equivalences():
     rng = np.random.default_rng(11)
     n = 10_000
-    c = derive_constants(1.3, -0.7, 0.9, 2.0, 0.4, 1.1)
+    c = LeslieCoefficients(1.3, -0.7, 0.9, 2.0, 0.4, 1.1)
     d = rng.standard_normal((n, 3))
     e = rng.standard_normal((n, 3))
     gv = rng.standard_normal((n, 3, 3))

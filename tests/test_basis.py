@@ -11,8 +11,6 @@ from elgal.basis import (
     elliptic_apply,
     gradient_of,
     laplacian_of,
-    project_Pn,
-    project_Rn,
     symbol_matrix,
 )
 from elgal.energies import SimplifiedOseenFrank
@@ -141,46 +139,46 @@ class TestVelocityBasis:
         field = np.zeros((16, 16, 16, 3))
         field[..., 0] = cosx  # longitudinal at k = (1,0,0)
         field[..., 1] = cosx  # transverse
-        projected = vel_basis.synthesize(project_Pn(field, vel_basis))
+        projected = vel_basis.synthesize(vel_basis.analyze(field))
         expect = np.zeros_like(field)
         expect[..., 1] = cosx
         assert np.max(np.abs(projected - expect)) < 1e-12
 
     def test_solenoidal_input_reproduced(self, vel_basis, rng):
         coefs = rng.uniform(-1, 1, vel_basis.size)
-        again = project_Pn(vel_basis.synthesize(coefs), vel_basis)
+        again = vel_basis.analyze(vel_basis.synthesize(coefs))
         assert np.max(np.abs(again - coefs)) < 1e-12
 
     def test_constant_field_projects_to_zero(self, vel_basis):
         field = np.ones((16, 16, 16, 3))
-        assert np.max(np.abs(project_Pn(field, vel_basis))) < 1e-13
+        assert np.max(np.abs(vel_basis.analyze(field))) < 1e-13
 
     def test_projection_contracts(self, vel_basis, grid16, rng):
         field = rng.standard_normal((16, 16, 16, 3))
-        coefs = project_Pn(field, vel_basis)
+        coefs = vel_basis.analyze(field)
         assert np.sqrt(coefs @ coefs) <= grid16.l2_norm(field) + 1e-12
 
 
 class TestProjections:
     def test_basis_mode_gives_unit_vector(self, gl_basis):
         f = gl_basis.synthesize(np.eye(gl_basis.size)[7])
-        coefs = project_Rn(f, gl_basis)
+        coefs = gl_basis.analyze(f)
         assert np.max(np.abs(coefs - np.eye(gl_basis.size)[7])) < 1e-12
 
     def test_out_of_span_mode_projects_to_zero(self, grid16, gl_basis):
         full = build_director_basis(identity_4(), grid16)
         outside = full.synthesize(np.eye(full.size)[gl_basis.size + 5])
-        assert np.max(np.abs(project_Rn(outside, gl_basis))) < 1e-12
+        assert np.max(np.abs(gl_basis.analyze(outside))) < 1e-12
 
     def test_projection_contracts(self, grid16, gl_basis, rng):
         full = build_director_basis(identity_4(), grid16)
         field = full.synthesize(rng.uniform(-1, 1, full.size))
-        coefs = project_Rn(field, gl_basis)
+        coefs = gl_basis.analyze(field)
         assert np.sqrt(coefs @ coefs) <= grid16.l2_norm(field) + 1e-12
 
     def test_idempotent(self, gl_basis, rng):
         coefs = rng.uniform(-1, 1, gl_basis.size)
-        once = project_Rn(gl_basis.synthesize(coefs), gl_basis)
+        once = gl_basis.analyze(gl_basis.synthesize(coefs))
         assert np.max(np.abs(once - coefs)) < 1e-12
 
 

@@ -1,14 +1,14 @@
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from elgal.basis import SpectralGrid, build_director_basis, build_velocity_basis
 from elgal.energies import GinzburgLandau
 from elgal.leslie import (
+    LeslieCoefficients,
     check_dissipativity,
     check_parodi,
-    derive_constants,
     ericksen_pairing,
     ericksen_stress,
     leslie_stress,
@@ -21,7 +21,7 @@ mu_float = st.floats(-5, 5, allow_nan=False, allow_infinity=False)
 
 
 def coeffs(mu1=1.0, mu2=-1.0, mu3=1.0, mu4=1.0, mu5=0.0, mu6=1.0):
-    return derive_constants(mu1, mu2, mu3, mu4, mu5, mu6)
+    return LeslieCoefficients(mu1, mu2, mu3, mu4, mu5, mu6)
 
 
 class TestDerivedConstants:
@@ -35,7 +35,7 @@ class TestDerivedConstants:
 
     def test_gamma_undefined(self):
         with pytest.raises(ValueError, match="gamma undefined"):
-            derive_constants(1.0, 0.0, 0.0, 1.0, 0.0, 1.0)
+            LeslieCoefficients(1.0, 0.0, 0.0, 1.0, 0.0, 1.0)
 
     @given(mu_float, mu_float)
     def test_gamma_is_negative_reciprocal_lam1(self, mu2, mu3):
@@ -73,7 +73,7 @@ class TestDissipativity:
         base = np.array([1.0, -1.0, 1.0, 1.0, 0.0, 1.0])
         for _ in range(20):
             mu = base + 1e-9 * rng.standard_normal(6)
-            assert check_dissipativity(derive_constants(*mu)).passed
+            assert check_dissipativity(LeslieCoefficients(*mu)).passed
 
     def test_pointwise_dissipation_margin(self, rng):
         c = coeffs(1.0, -1.0, 1.0, 1.0, 0.0, 1.0)
@@ -108,11 +108,13 @@ class TestParodi:
         assert check_parodi(coeffs(mu2=-0.8, mu3=0.8, mu5=0.3, mu6=0.3))
 
     @given(mu_float, mu_float, mu_float)
+    @example(-1.59375, -1.5977033331566743, -1.0)  # gamma = -253
     def test_parodi_implies_zero_cross_coefficient(self, mu2, mu3, mu5):
         assume(abs(mu3 - mu2) > 1e-3)
         mu6 = mu5 + mu2 + mu3  # forces lam2 + mu2 + mu3 = 0
-        c = derive_constants(1.0, mu2, mu3, 1.0, mu5, mu6)
-        assert abs(c.kappa) <= 1e-13 * max(1.0, c.gamma * (abs(mu2) + abs(mu3)))
+        c = LeslieCoefficients(1.0, mu2, mu3, 1.0, mu5, mu6)
+        # kappa cancels terms of size |gamma| (|mu2| + |mu3|); gamma may be negative.
+        assert abs(c.kappa) <= 1e-13 * max(1.0, abs(c.gamma) * (abs(mu2) + abs(mu3)))
 
 
 class TestStressForms:
@@ -133,7 +135,7 @@ class TestStressForms:
 
     def test_discrete_skew_only_term(self):
         with pytest.warns(UserWarning):
-            c = derive_constants(0.0, -1.0, 1.0, 0.0, 0.0, 0.0)
+            c = LeslieCoefficients(0.0, -1.0, 1.0, 0.0, 0.0, 0.0)
         d = np.array([1.0, 0.0, 0.0])
         q = np.array([0.0, 1.0, 0.0])
         t = leslie_stress_discrete(c, d, q, np.zeros((3, 3)))

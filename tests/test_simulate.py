@@ -1,10 +1,13 @@
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from elgal.basis import gradient_of
-from elgal.config import ConfigError
+from elgal.config import ConfigError, parse_config
+from elgal.diagnostics import energy_residual_series
+from elgal.energies import variational_derivative
 from elgal.scenarios import _base_config
 from elgal.simulate import (
     BlowUpError,
@@ -16,6 +19,8 @@ from elgal.simulate import (
     save_checkpoint,
 )
 from elgal.tensors import sym
+
+CONFIGS = Path(__file__).resolve().parent.parent / "scripts" / "configs"
 
 
 @pytest.fixture(scope="module")
@@ -79,33 +84,37 @@ class TestComputeQ:
         system, _ = gl8
         d_hat = np.zeros(system.director_basis.size)
         d_hat[0] = np.sqrt(system.grid.volume)
-        _, q_hat = system.compute_q(d_hat)
+        _, _, q_hat = system.director_eval(d_hat)
         assert np.max(np.abs(q_hat)) < 1e-12
 
     def test_eigenmode_relation(self, dirichlet8):
         system, _ = dirichlet8
         d_hat = np.zeros(system.director_basis.size)
         d_hat[10] = 0.4  # sigma = 1 mode
-        _, q_hat = system.compute_q(d_hat)
+        _, _, q_hat = system.director_eval(d_hat)
         assert np.max(np.abs(q_hat - d_hat)) < 1e-12
 
     def test_projection_discards_out_of_span_part(self, gl8, rng):
         system, _ = gl8
         grid = system.grid
         d_hat = rng.uniform(-0.8, 0.8, system.director_basis.size)
-        q_grid, q_hat = system.compute_q(d_hat)
+        d, gd, hd = system.director_basis.synthesize_with_derivatives(d_hat, hessian=True)
+        q_grid = variational_derivative(system.model, d, gd, hd)
+        _, _, q_hat = system.director_eval(d_hat)
         norm_raw = grid.l2_norm(q_grid)
         norm_proj = float(np.sqrt(q_hat @ q_hat))
         assert norm_proj < norm_raw  # cubic well pushes content past the span
         assert norm_raw < np.inf
 
     def test_fast_path_matches_full_derivative(self, gl8, rng):
+        # The weak-form q_hat against the projected strong-form oracle.
         system, _ = gl8
-        d_hat = rng.uniform(-0.5, 0.5, system.director_basis.size)
-        q_fast, _ = system.compute_q(d_hat)
-        fields = system.director_fields(d_hat)
-        q_full, _ = system.compute_q(d_hat, fields=fields)
-        assert np.max(np.abs(q_fast - q_full)) < 1e-11
+        basis = system.director_basis
+        d_hat = rng.uniform(-0.5, 0.5, basis.size)
+        _, _, q_weak = system.director_eval(d_hat)
+        d, gd, hd = basis.synthesize_with_derivatives(d_hat, hessian=True)
+        q_full = basis.analyze(variational_derivative(system.model, d, gd, hd))
+        assert np.max(np.abs(q_weak - q_full)) < 1e-11
 
 
 class TestAssembleRhs:
@@ -273,6 +282,28 @@ class TestRun:
 
         r1, r2 = max_residual(4e-3), max_residual(2e-3)
         assert 3.0 < r1 / r2 < 5.5, (r1, r2)
+
+    def test_energy_residual_order_scaled_oseen_frank(self):
+        """The energy-balance residual of a non-polynomial energy falls at
+        second order in dt: the projected q is the exact gradient of the
+        quadrature energy, so no spatial error floor remains."""
+        cfg = parse_config(CONFIGS / "scaled_anisotropy.cfg")
+        cfg = dataclasses.replace(
+            cfg,
+            model_params={**cfg.model_params, "k3": 0.3, "k4": 0.2},
+            n=12,
+            n_v=None,
+            n_d=None,
+            initial_director=("random", 5, 0.3),
+            record_every=1,
+            t_end=0.02,
+        )
+        worst = []
+        for dt in (2e-3, 1e-3, 5e-4):
+            residuals, _ = energy_residual_series(run(dataclasses.replace(cfg, dt=dt)).records)
+            worst.append(float(np.max(np.abs(residuals[1:-1]))))
+        ratios = [worst[0] / worst[1], worst[1] / worst[2]]
+        assert all(3.5 <= r <= 4.5 for r in ratios), ratios
 
     def test_dissipativity_gate(self):
         cfg = _base_config(n=8, mu=(1.0, -1.0, 1.0, 0.0, 0.0, 1.0))
