@@ -245,13 +245,29 @@ class _TrigBasis:
         )
         self._plane = (kv[:, 2] == 0) & ~self.is_const
         mirror = -kv[self._plane]
-        self._mirror_flat = np.ravel_multi_index(
+        mirror_flat = np.ravel_multi_index(
             (mirror[:, 0] % n, mirror[:, 1] % n, mirror[:, 2]), (n, n, nh)
         )
         v = grid.volume
         # L^2-normalization: sqrt(2/V) for travelling modes, 1/sqrt(V) for
         # constants (directors only).
         self._scale = np.where(self.is_const, 1.0 / np.sqrt(v), np.sqrt(2.0 / v))
+        # The scatter fills the half spectrum viewed as float64: component c
+        # of entry f has its real part in slot 6 f + 2 c and its imaginary
+        # part in the next.  A cos mode adds its weight to the real part; a
+        # sin mode adds -1j times it, so -weight to the imaginary part, or
+        # +weight where the entry holds the conjugate (stored -k, mirrors).
+        self._half = np.where(self.is_const, 1.0, 0.5)[:, None]
+        sin = self.parity != COS
+        self._sign = np.where(sin & ~self._conj, -1.0, 1.0)[:, None]
+        comp = 2 * np.arange(3)
+        self._slots = np.concatenate(
+            [
+                (6 * self._half_flat + sin)[:, None] + comp,
+                (6 * mirror_flat + sin[self._plane])[:, None] + comp,
+            ]
+        ).astype(np.int32).ravel()
+        self._spec_len = 6 * n * n * nh
 
     def _check_coefs(self, coefs: np.ndarray):
         if coefs.shape != (self.size,):
@@ -261,15 +277,10 @@ class _TrigBasis:
         """Half-spectrum array (n, n, n/2+1, 3) of the coefficient state."""
         self._check_coefs(coefs)
         n = self.grid.n
-        nh = n // 2 + 1
-        spec = np.zeros((n * n * nh, 3), dtype=complex)
-        amp = (coefs * self._scale)[:, None] * self.vecs
-        half = np.where(self.is_const, 1.0, 0.5)[:, None]
-        phase = np.where(self.parity == COS, 1.0, -1.0j)[:, None]
-        vals = amp * half * phase
-        np.add.at(spec, self._half_flat, np.where(self._conj[:, None], np.conj(vals), vals))
-        np.add.at(spec, self._mirror_flat, np.conj(vals[self._plane]))
-        return spec.reshape(n, n, nh, 3)
+        w = ((coefs * self._scale)[:, None] * self.vecs) * self._half
+        weights = np.concatenate([(w * self._sign).ravel(), w[self._plane].ravel()])
+        spec = np.bincount(self._slots, weights, minlength=self._spec_len)
+        return spec.view(complex).reshape(n, n, n // 2 + 1, 3)
 
     def synthesize(self, coefs: np.ndarray) -> np.ndarray:
         return self.grid.irfft(self.synthesize_spec_half(coefs))

@@ -28,7 +28,6 @@ import numpy as np
 
 from .energies import energy_gradient, total_energy, variational_derivative
 from .leslie import ericksen_stress
-from .tensors import sym_skw
 
 LEDGER_COLUMNS = (
     "t",
@@ -82,20 +81,19 @@ class EnergyRecord:
         )
 
 
-def energy_ledger(system, state, de_dt: float | None = None) -> EnergyRecord:
+def energy_ledger(system, state, de_dt: float | None = None, fields=None) -> EnergyRecord:
     """All terms of the energy balance at one instant, by dealiased quadrature.
 
     ``de_dt`` (the time derivative of kinetic + free) is the caller's
     business; when given, the residual is filled immediately, otherwise
-    ``energy_residual_series`` fills it from adjacent records.
+    ``energy_residual_series`` fills it from adjacent records.  ``fields`` is
+    ``system.fields(state)`` when the caller already has it.
     """
     c = system.coeffs
     grid = system.grid
-    d, grad_d, q_hat = system.director_eval(state.d_hat)
-    v, grad_v = system.velocity_fields(state.v_hat)
-    q = system.director_basis.synthesize(q_hat)
-
-    sv, _ = sym_skw(grad_v)
+    if fields is None:
+        fields = system.fields(state)
+    d, grad_d, q_hat, q, sv = fields.d, fields.grad_d, fields.q_hat, fields.q, fields.sv
     svd = np.einsum("...ij,...j->...i", sv, d)
     d_svd = np.einsum("...i,...i->...", d, svd)
 
@@ -175,9 +173,8 @@ def apriori_monitor(system, states: list, caps: dict | None = None) -> AprioriRe
     mu4_term = np.empty(len(states))
     svd_term = np.empty(len(states))
     for i, s in enumerate(states):
-        _, grad_v = system.velocity_fields(s.v_hat)
+        _, _, sv, _ = system.velocity_fields(s.v_hat)
         d = system.director_basis.synthesize(s.d_hat)
-        sv, _ = sym_skw(grad_v)
         svd = np.einsum("...ij,...j->...i", sv, d)
         d_svd = np.einsum("...i,...i->...", d, svd)
         mu1_term[i] = grid.quad(d_svd**2)

@@ -10,7 +10,7 @@ import numpy as np
 
 from . import diagnostics
 from .config import SimulationConfig
-from .simulate import run, save_checkpoint
+from .simulate import BlowUpError, run, save_checkpoint
 
 
 @dataclass(frozen=True)
@@ -152,11 +152,29 @@ def _evaluate_assertions(result) -> list[tuple[str, bool, str]]:
     return checks
 
 
+def _write_report(path: str, scenario: Scenario, records: list, lines: list) -> None:
+    with open(path, "w") as fh:
+        fh.write(f"scenario: {scenario.name}\n{scenario.description}\n")
+        fh.write(f"records: {len(records)}  t_end: {records[-1].t:.6g}\n")
+        for line in lines:
+            fh.write(line + "\n")
+
+
 def run_scenario(scenario: Scenario, outdir: str = ".") -> ScenarioOutcome:
-    """Run, write the ledger (and snapshots), evaluate assertions."""
+    """Run, write the ledger (and snapshots), evaluate assertions.
+
+    On blow-up the ledger of the records made so far and a report naming
+    the last good time are written before the ``BlowUpError`` propagates.
+    """
     os.makedirs(outdir, exist_ok=True)
-    result = run(scenario.config)
     ledger_path = os.path.join(outdir, scenario.config.ledger_name)
+    report_path = os.path.join(outdir, f"{scenario.name}_report.txt")
+    try:
+        result = run(scenario.config)
+    except BlowUpError as exc:
+        diagnostics.write_ledger(exc.records, ledger_path)
+        _write_report(report_path, scenario, exc.records, [f"BLOW-UP  {exc}"])
+        raise
     diagnostics.write_ledger(result.records, ledger_path)
 
     every = scenario.config.snapshot_every
@@ -175,12 +193,7 @@ def run_scenario(scenario: Scenario, outdir: str = ".") -> ScenarioOutcome:
     checks = _evaluate_assertions(result)
     messages = [f"{'PASS' if ok else 'FAIL'}  {name}: {info}" for name, ok, info in checks]
     exit_code = 0 if all(ok for _, ok, _ in checks) else 1
-    report_path = os.path.join(outdir, f"{scenario.name}_report.txt")
-    with open(report_path, "w") as fh:
-        fh.write(f"scenario: {scenario.name}\n{scenario.description}\n")
-        fh.write(f"records: {len(result.records)}  t_end: {result.records[-1].t:.6g}\n")
-        for line in messages:
-            fh.write(line + "\n")
+    _write_report(report_path, scenario, result.records, messages)
     return ScenarioOutcome(scenario.name, exit_code, messages, ledger_path, report_path)
 
 

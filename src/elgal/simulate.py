@@ -21,8 +21,10 @@ by classical RK4 on the transformed variable.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,9 +46,13 @@ BLOWUP_THRESHOLD = 1e12
 
 
 class BlowUpError(RuntimeError):
+    """A step left a non-finite or huge state.  ``run`` attaches the energy
+    records made up to ``last_good_time`` as ``records``."""
+
     def __init__(self, last_good_time: float):
         super().__init__(f"solution blew up; last finite state at t = {last_good_time:.6g}")
         self.last_good_time = last_good_time
+        self.records: list = []
 
 
 @dataclass
@@ -59,6 +65,19 @@ class SpectralState:
 
     def copy(self) -> "SpectralState":
         return SpectralState(self.t, self.v_hat.copy(), self.d_hat.copy())
+
+
+class StateFields(NamedTuple):
+    """Grid fields of one state, shared by the ledger and the first RK stage."""
+
+    d: np.ndarray
+    grad_d: np.ndarray
+    q_hat: np.ndarray
+    q: np.ndarray
+    v: np.ndarray
+    grad_v: np.ndarray
+    sv: np.ndarray
+    wv: np.ndarray
 
 
 class GalerkinSystem:
@@ -90,8 +109,9 @@ class GalerkinSystem:
 
     # -- field reconstruction ------------------------------------------------
     def velocity_fields(self, v_hat: np.ndarray):
+        """Velocity value, gradient, and the gradient's symmetric and skew parts."""
         v, grad_v, _ = self.velocity_basis.synthesize_with_derivatives(v_hat)
-        return v, grad_v
+        return (v, grad_v, *sym_skw(grad_v))
 
     def initial_projection(self, v0_field: np.ndarray, d0_field: np.ndarray) -> SpectralState:
         """State at t = 0 from grid fields: Leray-projected velocity, projected director."""
@@ -105,16 +125,23 @@ class GalerkinSystem:
         """Director value, gradient, and projected variational derivative q_hat."""
         return energy_gradient(self.model, self.director_basis, d_hat)
 
+    def fields(self, state: SpectralState) -> StateFields:
+        """Every grid field the right-hand side and the energy ledger read."""
+        d, grad_d, q_hat = self.director_eval(state.d_hat)
+        v, grad_v, sv, wv = self.velocity_fields(state.v_hat)
+        q = self.director_basis.synthesize(q_hat)
+        return StateFields(d, grad_d, q_hat, q, v, grad_v, sv, wv)
+
     # -- vector field ---------------------------------------------------------
-    def assemble_rhs(self, state: SpectralState):
+    def assemble_rhs(self, state: SpectralState, fields: StateFields | None = None):
+        """(dv_hat, dd_hat) at ``state``; ``fields`` is ``self.fields(state)``
+        when the caller already has it."""
         c = self.coeffs
         grid = self.grid
         n = grid.n
-        d, grad_d, q_hat = self.director_eval(state.d_hat)
-        v, grad_v = self.velocity_fields(state.v_hat)
-        q = self.director_basis.synthesize(q_hat)
-
-        sv, wv = sym_skw(grad_v)
+        if fields is None:
+            fields = self.fields(state)
+        d, grad_d, q_hat, q, v, grad_v, sv, wv = fields
         transport = (
             np.einsum("...ia,...a->...i", grad_d, v)
             - np.einsum("...ij,...j->...i", wv, d)
@@ -137,8 +164,8 @@ class GalerkinSystem:
         )
         return dv_hat, dd_hat
 
-    def _nonlinear(self, v_hat, d_hat):
-        dv, dd = self.assemble_rhs(SpectralState(0.0, v_hat, d_hat))
+    def _nonlinear(self, v_hat, d_hat, rhs=None):
+        dv, dd = self.assemble_rhs(SpectralState(0.0, v_hat, d_hat)) if rhs is None else rhs
         return dv - self.lin_v * v_hat, dd - self.lin_d * d_hat
 
     def _exps(self, dt: float):
@@ -154,8 +181,11 @@ class GalerkinSystem:
             self._exp_cache[dt] = exps
             return exps
 
-    def step(self, state: SpectralState, dt: float) -> SpectralState:
-        """One integrating-factor RK4 step; dt = 0 is the identity."""
+    def step(self, state: SpectralState, dt: float, rhs=None) -> SpectralState:
+        """One integrating-factor RK4 step; dt = 0 is the identity.
+
+        ``rhs`` is ``assemble_rhs(state)`` when the caller already has it.
+        """
         if dt < 0:
             raise ValueError("dt must be nonnegative")
         if dt == 0.0:
@@ -163,7 +193,7 @@ class GalerkinSystem:
         evh, evf, edh, edf = self._exps(dt)
         v0, d0 = state.v_hat, state.d_hat
 
-        av, ad = self._nonlinear(v0, d0)
+        av, ad = self._nonlinear(v0, d0, rhs)
         bv, bd = self._nonlinear(evh * (v0 + 0.5 * dt * av), edh * (d0 + 0.5 * dt * ad))
         cv, cd = self._nonlinear(evh * v0 + 0.5 * dt * bv, edh * d0 + 0.5 * dt * bd)
         dv, dd = self._nonlinear(evf * v0 + dt * evh * cv, edf * d0 + dt * edh * cd)
@@ -244,7 +274,12 @@ def initial_state(config: SimulationConfig, system: GalerkinSystem) -> SpectralS
 
 
 def run(config: SimulationConfig) -> SimulationResult:
-    """Integrate the configured scenario, recording the energy ledger."""
+    """Integrate the configured scenario, recording the energy ledger.
+
+    The grid fields of each state are evaluated once: the ledger record (for
+    recorded states) and the first RK stage of the next step share them.  A
+    ``BlowUpError`` carries the records made before it.
+    """
     from . import diagnostics  # local import to keep the module graph acyclic
 
     system = build_system(config)
@@ -253,44 +288,76 @@ def run(config: SimulationConfig) -> SimulationResult:
     if abs(n_steps * config.dt - config.t_end) > 1e-9 * max(config.dt, config.t_end):
         raise ConfigError("key 't_end': must be an integer multiple of dt (fixed-step scheme)")
     states = [state]
-    records = [diagnostics.energy_ledger(system, state)]
-    for i in range(1, n_steps + 1):
-        state = system.step(state, config.dt)
-        # Keep recorded times exact multiples of dt.
-        state = SpectralState(i * config.dt, state.v_hat, state.d_hat)
-        if i % config.record_every == 0 or i == n_steps:
-            states.append(state)
-            records.append(diagnostics.energy_ledger(system, state))
-    if len(records) >= 3:
-        diagnostics.energy_residual_series(records)
+    fields = system.fields(state)
+    records = [diagnostics.energy_ledger(system, state, fields=fields)]
+    try:
+        for i in range(1, n_steps + 1):
+            rhs = system.assemble_rhs(state, fields)
+            fields = None  # not held through stages 2-4
+            state = system.step(state, config.dt, rhs=rhs)
+            # Keep recorded times exact multiples of dt.
+            state = SpectralState(i * config.dt, state.v_hat, state.d_hat)
+            fields = system.fields(state)
+            if i % config.record_every == 0 or i == n_steps:
+                states.append(state)
+                records.append(diagnostics.energy_ledger(system, state, fields=fields))
+    except BlowUpError as exc:
+        exc.records = records
+        raise
+    finally:
+        # Also fills the residuals of a partial ledger.
+        if len(records) >= 3:
+            diagnostics.energy_residual_series(records)
     return SimulationResult(config=config, system=system, states=states, records=records)
 
 
 # ---------------------------------------------------------------------------
 # Checkpoint files: magic, config hash, t, mode counts, then little-endian
-# float64 coefficient arrays.  Reload is bit-exact.
+# float64 coefficient arrays.  Reload is bit-exact; files are written to a
+# temporary name and renamed into place, and a file whose length does not
+# match its mode counts is rejected.
 
 _MAGIC = b"ELGALCK1"
+_COUNTS = struct.Struct("<dQQ")
+_HEADER_BYTES = len(_MAGIC) + 64 + _COUNTS.size
 
 
 def save_checkpoint(path, state: SpectralState, config_hash: str, n_v: int, n_d: int) -> None:
     if len(state.v_hat) != n_v or len(state.d_hat) != n_d:
         raise ValueError("mode counts do not match the state")
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(config_hash.encode("ascii").ljust(64, b"0")[:64])
-        fh.write(struct.pack("<dQQ", state.t, n_v, n_d))
-        fh.write(np.ascontiguousarray(state.v_hat, dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(state.d_hat, dtype="<f8").tobytes())
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(_MAGIC)
+            fh.write(config_hash.encode("ascii").ljust(64, b"0")[:64])
+            fh.write(_COUNTS.pack(state.t, n_v, n_d))
+            fh.write(np.ascontiguousarray(state.v_hat, dtype="<f8").tobytes())
+            fh.write(np.ascontiguousarray(state.d_hat, dtype="<f8").tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def load_checkpoint(path) -> tuple[SpectralState, dict]:
     with open(path, "rb") as fh:
-        if fh.read(8) != _MAGIC:
-            raise ValueError("not a checkpoint file")
-        config_hash = fh.read(64).decode("ascii")
-        t, n_v, n_d = struct.unpack("<dQQ", fh.read(24))
-        v_hat = np.frombuffer(fh.read(8 * n_v), dtype="<f8").astype(np.float64)
-        d_hat = np.frombuffer(fh.read(8 * n_d), dtype="<f8").astype(np.float64)
+        data = fh.read()
+    if data[: len(_MAGIC)] != _MAGIC:
+        raise ValueError("not a checkpoint file")
+    if len(data) < _HEADER_BYTES:
+        raise ValueError(
+            f"checkpoint {path}: expected at least {_HEADER_BYTES} header bytes, got {len(data)}"
+        )
+    config_hash = data[len(_MAGIC) : len(_MAGIC) + 64].decode("ascii")
+    t, n_v, n_d = _COUNTS.unpack_from(data, len(_MAGIC) + 64)
+    expected = _HEADER_BYTES + 8 * (n_v + n_d)
+    if len(data) != expected:
+        raise ValueError(
+            f"checkpoint {path}: expected {expected} bytes for {n_v} + {n_d} coefficients, "
+            f"got {len(data)}"
+        )
+    v_hat = np.frombuffer(data, "<f8", n_v, _HEADER_BYTES).astype(np.float64)
+    d_hat = np.frombuffer(data, "<f8", n_d, _HEADER_BYTES + 8 * n_v).astype(np.float64)
     state = SpectralState(t, v_hat, d_hat)
     return state, {"config_hash": config_hash, "n_v": n_v, "n_d": n_d}

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from elgal.basis import (
+    COS,
     DirectorBasis,
     SpectralGrid,
     VelocityBasis,
@@ -225,6 +226,52 @@ class TestSpectralDerivatives:
         spec = grid16.fft(f)
         back = np.fft.ifftn(spec * grid16.n**3, axes=(0, 1, 2))
         assert np.max(np.abs(back.imag)) < 1e-13
+
+
+def add_at_scatter(basis, coefs):
+    """Oracle: the half spectrum built entry by entry with complex np.add.at.
+
+    Each mode adds amp * {1, -1j} (times 1/2 off k = 0) at its representative
+    entry, conjugated when that entry stores -k; modes with k_3 = 0 also add
+    the conjugate at the in-plane mirror entry -k.
+    """
+    grid = basis.grid
+    n, nh, v = grid.n, grid.n // 2 + 1, grid.volume
+    kv = basis.kvecs
+    conj = kv[:, 2] < 0
+    rep = np.where(conj[:, None], -kv, kv)
+    half_flat = np.ravel_multi_index((rep[:, 0] % n, rep[:, 1] % n, rep[:, 2]), (n, n, nh))
+    plane = (kv[:, 2] == 0) & ~basis.is_const
+    mirror = -kv[plane]
+    mirror_flat = np.ravel_multi_index((mirror[:, 0] % n, mirror[:, 1] % n, mirror[:, 2]), (n, n, nh))
+    scale = np.where(basis.is_const, 1.0 / np.sqrt(v), np.sqrt(2.0 / v))
+    amp = (coefs * scale)[:, None] * basis.vecs
+    half = np.where(basis.is_const, 1.0, 0.5)[:, None]
+    phase = np.where(basis.parity == COS, 1.0, -1.0j)[:, None]
+    vals = amp * half * phase
+    spec = np.zeros((n * n * nh, 3), dtype=complex)
+    np.add.at(spec, half_flat, np.where(conj[:, None], np.conj(vals), vals))
+    np.add.at(spec, mirror_flat, np.conj(vals[plane]))
+    return spec.reshape(n, n, nh, 3)
+
+
+class TestScatter:
+    @pytest.mark.parametrize("n", [8, 16])
+    @pytest.mark.parametrize("n_modes", [None, 57])
+    @pytest.mark.parametrize("kind", ["director", "velocity"])
+    def test_byte_equal_to_add_at_oracle(self, kind, n_modes, n, rng):
+        grid = SpectralGrid(n)
+        if kind == "director":
+            basis = build_director_basis(SOF_LAM, grid, n_modes)
+            assert basis.is_const.sum() == 3
+        else:
+            basis = build_velocity_basis(grid, n_modes)
+        assert np.any(basis.kvecs[:, 2] == 0) and np.any(basis.kvecs[:, 2] != 0)
+        for coefs in (rng.standard_normal(basis.size), np.zeros(basis.size)):
+            spec = basis.synthesize_spec_half(coefs)
+            oracle = add_at_scatter(basis, coefs)
+            assert spec.shape == oracle.shape and spec.dtype == oracle.dtype
+            assert spec.tobytes() == oracle.tobytes()
 
 
 class TestManifest:

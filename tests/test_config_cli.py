@@ -222,6 +222,14 @@ class TestCli:
             "velocity = random 0 0.1", "velocity = mode 0 0 1 0 cos 1.0"
         ).replace("t_end = 0.02", "t_end = 2.0")
         assert main(["run", write(tmp_path, text), "--outdir", str(tmp_path)]) == 3
+        last_good = float(capsys.readouterr().err.rsplit("t =", 1)[1])
+        # The records made before the blow-up are still written.
+        lines = (tmp_path / "ledger.csv").read_text().splitlines()
+        assert len(lines) >= 2
+        t_last = float(lines[-1].split(",")[lines[0].split(",").index("t")])
+        assert 0.0 < t_last <= last_good
+        report = (tmp_path / "scenario_report.txt").read_text()
+        assert "BLOW-UP" in report and f"t = {last_good:.6g}" in report
 
     def test_outdir_env_variable(self, tmp_path, monkeypatch):
         monkeypatch.setenv("ELGAL_OUTDIR", str(tmp_path / "envout"))

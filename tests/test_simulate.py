@@ -6,11 +6,12 @@ import pytest
 
 from elgal.basis import gradient_of
 from elgal.config import ConfigError, parse_config
-from elgal.diagnostics import energy_residual_series
+from elgal.diagnostics import energy_ledger, energy_residual_series
 from elgal.energies import variational_derivative
 from elgal.scenarios import _base_config
 from elgal.simulate import (
     BlowUpError,
+    GalerkinSystem,
     SpectralState,
     build_system,
     initial_state,
@@ -331,6 +332,40 @@ class TestRun:
         assert 0.0 < info.value.last_good_time <= 2.0
 
 
+class TestFieldSharing:
+    """``run`` evaluates the fields of each state once, for the ledger and the
+    first RK stage together, and the records stay those of a fresh ledger."""
+
+    @pytest.mark.parametrize("record_every, t_end", [(1, 0.005), (3, 0.007)])
+    def test_one_director_eval_per_state(self, gl8, monkeypatch, record_every, t_end):
+        _, cfg = gl8
+        cfg = dataclasses.replace(
+            cfg,
+            t_end=t_end,
+            record_every=record_every,
+            initial_velocity=("random", 5, 0.1),
+            initial_director=("random", 6, 0.1),
+        )
+        calls = []
+        director_eval = GalerkinSystem.director_eval
+
+        def counted(self, d_hat):
+            calls.append(1)
+            return director_eval(self, d_hat)
+
+        monkeypatch.setattr(GalerkinSystem, "director_eval", counted)
+        result = run(cfg)
+        steps = round(t_end / cfg.dt)
+        assert len(calls) == 4 * steps + 1
+        monkeypatch.undo()
+
+        assert [s.t for s in result.states] == [r.t for r in result.records]
+        fresh = [energy_ledger(result.system, s) for s in result.states]
+        energy_residual_series(fresh)
+        for rec, ref in zip(result.records, fresh, strict=True):
+            assert np.array(rec.row()).tobytes() == np.array(ref.row()).tobytes()
+
+
 class TestCheckpoint:
     def test_bit_exact_round_trip(self, gl8, rng, tmp_path):
         system, cfg = gl8
@@ -359,6 +394,40 @@ class TestCheckpoint:
         state = SpectralState(0.0, np.zeros(3), np.zeros(5))
         with pytest.raises(ValueError):
             save_checkpoint(tmp_path / "x.ckpt", state, cfg.config_hash(), 4, 5)
+
+    def _saved(self, tmp_path, cfg):
+        state = SpectralState(0.25, np.arange(4.0), np.arange(7.0))
+        path = tmp_path / "state.ckpt"
+        save_checkpoint(path, state, cfg.config_hash(), 4, 7)
+        return path, path.read_bytes()
+
+    def test_truncated_file_rejected(self, gl8, tmp_path):
+        _, cfg = gl8
+        path, data = self._saved(tmp_path, cfg)
+        expected = 8 + 64 + 24 + 8 * (4 + 7)
+        assert len(data) == expected
+        path.write_bytes(data[:-16])
+        with pytest.raises(ValueError, match=f"expected {expected} bytes.*got {expected - 16}"):
+            load_checkpoint(path)
+        path.write_bytes(data[:50])
+        with pytest.raises(ValueError, match="got 50"):
+            load_checkpoint(path)
+
+    def test_over_long_file_rejected(self, gl8, tmp_path):
+        _, cfg = gl8
+        path, data = self._saved(tmp_path, cfg)
+        path.write_bytes(data + bytes(8))
+        with pytest.raises(ValueError, match=f"expected {len(data)} bytes.*got {len(data) + 8}"):
+            load_checkpoint(path)
+
+    def test_save_replaces_atomically(self, gl8, tmp_path):
+        _, cfg = gl8
+        path, _ = self._saved(tmp_path, cfg)
+        state = SpectralState(0.5, -np.arange(4.0), -np.arange(7.0))
+        save_checkpoint(path, state, cfg.config_hash(), 4, 7)
+        loaded, _ = load_checkpoint(path)
+        assert loaded.t == 0.5 and np.array_equal(loaded.d_hat, state.d_hat)
+        assert [p.name for p in tmp_path.iterdir()] == ["state.ckpt"]
 
 
 class TestInitialDirectives:
