@@ -1,6 +1,6 @@
 """Trigonometric Galerkin bases on the periodic box [0, 2pi)^3.
 
-Two orthonormal real bases are built mode by mode:
+Two orthonormal real bases, each one structured array of modes (``MODE_DTYPE``):
 
 * velocity modes: divergence-free fields p * sqrt(2/V) * cos/sin(k.x) with
   p.k = 0, two polarizations per canonical wavevector, k = 0 excluded
@@ -125,9 +125,10 @@ def laplacian_of(grid: SpectralGrid, field: np.ndarray) -> np.ndarray:
 
 
 def symbol_matrix(lam4: Tensor4, k) -> np.ndarray:
-    """Fourier symbol M(k)_im = sum_jl Lam_ijml k_j k_l of -div(Lam : grad .)."""
+    """Fourier symbol M(k)_im = sum_jl Lam_ijml k_j k_l of -div(Lam : grad .),
+    for one wavevector or a stack of them (..., 3) -> (..., 3, 3)."""
     k = np.asarray(k, dtype=float)
-    return np.einsum("ijml,j,l->im", lam4, k, k)
+    return np.einsum("ijml,...j,...l->...im", lam4, k, k)
 
 
 def elliptic_apply(lam4: Tensor4, grid: SpectralGrid, field: np.ndarray) -> np.ndarray:
@@ -136,107 +137,117 @@ def elliptic_apply(lam4: Tensor4, grid: SpectralGrid, field: np.ndarray) -> np.n
     return -divergence_of(grid, flux)
 
 
-def _canonical_wavevectors(cutoff: int) -> list[tuple[int, int, int]]:
-    """One representative per +-k pair, first nonzero component positive."""
-    out = []
-    rng = range(-cutoff, cutoff + 1)
-    for kx in rng:
-        for ky in rng:
-            for kz in rng:
-                if (kx, ky, kz) == (0, 0, 0):
-                    continue
-                if kx > 0 or (kx == 0 and (ky > 0 or (ky == 0 and kz > 0))):
-                    out.append((kx, ky, kz))
-    return out
+def _canonical_wavevectors(cutoff: int) -> np.ndarray:
+    """One representative per +-k pair, first nonzero component positive,
+    as a (K, 3) array in lexicographic order."""
+    r = np.arange(-cutoff, cutoff + 1)
+    k = np.stack(np.meshgrid(r, r, r, indexing="ij"), axis=-1).reshape(-1, 3)
+    kx, ky, kz = k.T
+    return k[(kx > 0) | ((kx == 0) & ((ky > 0) | ((ky == 0) & (kz > 0))))]
 
 
 def _sign_fix(v: np.ndarray) -> np.ndarray:
-    i = int(np.argmax(np.abs(v)))
-    return -v if v[i] < 0 else v
+    """Flip each vector (last axis) so that its largest-magnitude entry is positive."""
+    i = np.argmax(np.abs(v), axis=-1)[..., None]
+    return np.where(np.take_along_axis(v, i, axis=-1) < 0, -v, v)
 
 
-def _sig(x: float) -> float:
+def _norm(v: np.ndarray) -> np.ndarray:
+    # np.vecdot, unlike einsum or sum(axis=-1), adds in the order of the
+    # 1-D dot product, so each norm equals np.linalg.norm of its vector.
+    return np.sqrt(np.vecdot(v, v))[..., None]
+
+
+def _sig(x: np.ndarray) -> np.ndarray:
     """Round to 11 significant digits so analytically equal eigenvalues tie."""
-    return float(f"{x:.10e}")
+    return np.char.mod("%.10e", x).astype(float)
+
+
+def _eigenspace_frames(sub: np.ndarray) -> np.ndarray:
+    """Rows: (e1, e2, e3) projected onto each eigenspace spanned by the columns
+    of sub (B, 3, g), Gram-Schmidt in that order, the first g survivors kept."""
+    g = sub.shape[-1]
+    proj = np.matmul(sub, sub.swapaxes(-1, -2))
+    frame = np.zeros((len(sub), g, 3))
+    found = np.zeros(len(sub), dtype=np.int64)
+    for j in range(3):
+        c = proj[:, :, j]
+        for p in range(g - 1):
+            prev = frame[:, p]
+            c = np.where((found > p)[:, None], c - np.vecdot(prev, c)[:, None] * prev, c)
+        nc = _norm(c)
+        rows = np.flatnonzero((nc[:, 0] > 1e-8) & (found < g))
+        frame[rows, found[rows]] = c[rows] / nc[rows]
+        found[rows] += 1
+    return _sign_fix(frame)
 
 
 def _deterministic_eigvecs(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending eigenpairs of a symmetric 3x3 matrix with a reproducible
-    choice of basis inside (near-)degenerate eigenspaces: project the frame
-    (e1, e2, e3) onto the eigenspace and Gram-Schmidt in that order."""
-    ms = 0.5 * (m + m.T)
-    w, v = np.linalg.eigh(ms)
-    scale = max(abs(w[0]), abs(w[2]), 1.0)
-    out = np.empty((3, 3))
-    start = 0
-    for stop in range(1, 4):
-        if stop < 3 and abs(w[stop] - w[start]) <= 1e-8 * scale:
-            continue
-        sub = v[:, start:stop]
-        if stop - start == 1:
-            out[:, start] = _sign_fix(sub[:, 0])
-        else:
-            proj = sub @ sub.T
-            cols: list[np.ndarray] = []
-            for e in np.eye(3):
-                c = proj @ e
-                for prev in cols:
-                    c = c - (prev @ c) * prev
-                nc = np.linalg.norm(c)
-                if nc > 1e-8:
-                    cols.append(c / nc)
-                if len(cols) == stop - start:
-                    break
-            for j, cvec in enumerate(cols):
-                out[:, start + j] = _sign_fix(cvec)
-        start = stop
-    return w, out
-
-
-def _velocity_polarizations(k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    axis = int(np.argmin(np.abs(k)))
-    e = np.zeros(3)
-    e[axis] = 1.0
-    p1 = np.cross(e, k.astype(float))
-    p1 /= np.linalg.norm(p1)
-    p1 = _sign_fix(p1)
-    p2 = np.cross(k.astype(float), p1)
-    p2 /= np.linalg.norm(p2)
-    p2 = _sign_fix(p2)
-    return p1, p2
+    """Ascending eigenpairs of a stack of symmetric 3x3 matrices (K, 3, 3) with a
+    reproducible basis inside (near-)degenerate eigenspaces.  Returns the
+    eigenvalues (K, 3) and the eigenvectors as rows (K, 3, 3)."""
+    w, v = np.linalg.eigh(0.5 * (m + m.swapaxes(-1, -2)))
+    tol = 1e-8 * np.maximum(np.maximum(np.abs(w[:, 0]), np.abs(w[:, 2])), 1.0)
+    # An eigenvalue opens a new group when it is apart from the group's first.
+    new1 = np.abs(w[:, 1] - w[:, 0]) > tol
+    new2 = np.abs(w[:, 2] - np.where(new1, w[:, 1], w[:, 0])) > tol
+    rows = _sign_fix(v.swapaxes(-1, -2))
+    for start, stop, sel in ((0, 3, ~new1 & ~new2), (0, 2, ~new1 & new2), (1, 3, new1 & ~new2)):
+        rows[sel, start:stop] = _eigenspace_frames(v[sel, :, start:stop])
+    return w, rows
 
 
 COS, SIN = 0, 1
 
+# One real trigonometric basis field vec * scale * {cos, sin}(k.x) per entry.
+MODE_DTYPE = np.dtype(
+    [("k", np.int64, 3), ("vec", float, 3), ("eig", float), ("parity", np.int8), ("branch", np.int8)]
+)
 
-@dataclass(frozen=True)
-class Mode:
-    """One real trigonometric basis field u * scale * {cos, sin}(k.x)."""
 
-    k: tuple[int, int, int]
-    vec: np.ndarray
-    eig: float
-    parity: int  # COS or SIN
-    branch: int
+def _wave_modes(k: np.ndarray, vecs: np.ndarray, eigs: np.ndarray) -> np.ndarray:
+    """Cosine and sine mode of branch b of each wavevector k (K, 3), with
+    vector vecs (K, B, 3) and eigenvalue eigs (K, B)."""
+    n_k, n_b = eigs.shape
+    modes = np.zeros((n_k, n_b, 2), MODE_DTYPE)
+    modes["k"] = k[:, None, None]
+    modes["vec"] = vecs[:, :, None]
+    modes["eig"] = eigs[:, :, None]
+    modes["branch"] = np.arange(n_b)[:, None]
+    modes["parity"] = (COS, SIN)
+    return modes.ravel()
+
+
+def _leading_modes(modes: np.ndarray, key: np.ndarray, n_modes: Optional[int]) -> np.ndarray:
+    """The first n_modes (default all) ordered by key, then lexicographic k,
+    then branch, then parity with cosine first."""
+    if n_modes is None:
+        n_modes = len(modes)
+    if not 1 <= n_modes <= len(modes):
+        raise ValueError(f"n_modes must be in [1, {len(modes)}]")
+    k = modes["k"]
+    order = np.lexsort((modes["parity"], modes["branch"], k[:, 2], k[:, 1], k[:, 0], key))
+    return modes[order[:n_modes]]
 
 
 class _TrigBasis:
-    """Hot-path transforms run on the real half spectrum: each mode stores the
+    """A basis over a ``MODE_DTYPE`` array, whose columns it keeps contiguous.
+
+    Hot-path transforms run on the real half spectrum: each mode stores the
     flat index of its representative entry (the one with nonnegative third
     wavevector component) plus a conjugation flag, and modes whose third
     component vanishes also scatter the in-plane mirror entry."""
 
-    def __init__(self, grid: SpectralGrid, modes: list[Mode]):
+    def __init__(self, grid: SpectralGrid, modes: np.ndarray):
         self.grid = grid
         self.modes = modes
         n = grid.n
         nh = n // 2 + 1
         self.size = len(modes)
-        kv = np.array([m.k for m in modes], dtype=np.int64).reshape(self.size, 3)
-        self.kvecs = kv
-        self.vecs = np.array([m.vec for m in modes]).reshape(self.size, 3)
-        self.eigs = np.array([m.eig for m in modes])
-        self.parity = np.array([m.parity for m in modes], dtype=np.int8)
+        self.kvecs = kv = np.ascontiguousarray(modes["k"])
+        self.vecs = np.ascontiguousarray(modes["vec"])
+        self.eigs = np.ascontiguousarray(modes["eig"])
+        self.parity = np.ascontiguousarray(modes["parity"])
         self.is_const = (kv == 0).all(axis=1)
         self._conj = kv[:, 2] < 0
         rep = np.where(self._conj[:, None], -kv, kv)
@@ -338,12 +349,12 @@ class _TrigBasis:
 
     def manifest(self) -> str:
         lines = []
-        for i, m in enumerate(self.modes):
-            vec = " ".join(f"{c:+.12e}" for c in m.vec)
-            par = "cos" if m.parity == COS else "sin"
+        for i, (k, vec, eig, parity) in enumerate(zip(self.kvecs, self.vecs, self.eigs, self.parity)):
+            vec = " ".join(f"{c:+.12e}" for c in vec)
+            par = "cos" if parity == COS else "sin"
             lines.append(
-                f"{i:4d}  k=({m.k[0]:+d},{m.k[1]:+d},{m.k[2]:+d})  "
-                f"eig={m.eig:.12e}  parity={par}  vec=[{vec}]"
+                f"{i:4d}  k=({k[0]:+d},{k[1]:+d},{k[2]:+d})  "
+                f"eig={eig:.12e}  parity={par}  vec=[{vec}]"
             )
         return "\n".join(lines) + "\n"
 
@@ -351,27 +362,24 @@ class _TrigBasis:
 class DirectorBasis(_TrigBasis):
     """Eigenmodes of -div(Lam : grad .), constants included."""
 
-    def __init__(self, grid: SpectralGrid, lam4: Tensor4, modes: list[Mode]):
+    def __init__(self, grid: SpectralGrid, lam4: Tensor4, modes: np.ndarray):
         super().__init__(grid, modes)
         self.lam4 = np.array(lam4)
 
-    @property
-    def sigmas(self) -> np.ndarray:
-        return self.eigs
-
     def h2_norm_constant(self) -> float:
         """Largest ||z||_H2 / ||Delta z||_L2 over retained non-constant modes."""
-        ksq = np.sum(self.kvecs**2, axis=1).astype(float)
-        ksq = ksq[~self.is_const]
-        if len(ksq) == 0:
-            raise ValueError("basis holds only constant modes")
-        return float(np.max(np.sqrt(1.0 + ksq + ksq**2) / ksq))
+        return self._h2_ratio(np.sum(self.kvecs**2, axis=1).astype(float))
 
     def regularity_constant(self) -> float:
         """Largest ||z||_H2 / ||div(Lam : grad z)||_L2 over non-constant modes."""
-        ksq = np.sum(self.kvecs**2, axis=1).astype(float)
+        return self._h2_ratio(self.eigs)
+
+    def _h2_ratio(self, denominator: np.ndarray) -> float:
         keep = ~self.is_const
-        return float(np.max(np.sqrt(1.0 + ksq[keep] + ksq[keep] ** 2) / self.eigs[keep]))
+        if not keep.any():
+            raise ValueError("basis holds only constant modes")
+        ksq = np.sum(self.kvecs[keep] ** 2, axis=1).astype(float)
+        return float(np.max(np.sqrt(1.0 + ksq + ksq**2) / denominator[keep]))
 
 
 class VelocityBasis(_TrigBasis):
@@ -387,45 +395,34 @@ def build_director_basis(
     index for that wavevector), then parity with cosine first.  Refuses
     tensors whose symbol is not positive definite away from k = 0.
     """
-    entries: list[tuple] = []
-    for i, e in enumerate(np.eye(3)):
-        entries.append((0.0, (0, 0, 0), i, COS, e, 0.0))
-    for k in _canonical_wavevectors(grid.cutoff):
-        m = symbol_matrix(lam4, k)
-        if np.max(np.abs(m - m.T)) > 1e-10 * max(1.0, np.max(np.abs(m))):
-            raise ValueError("symbol matrix not symmetric; tensor lacks pair symmetry")
-        w, vecs = _deterministic_eigvecs(m)
-        if w[0] <= 0.0:
-            raise ValueError(
-                f"operator not strongly elliptic: symbol eigenvalue {w[0]:.3e} at k={k}"
-            )
-        for branch in range(3):
-            for parity in (COS, SIN):
-                entries.append((_sig(w[branch]), k, branch, parity, vecs[:, branch], w[branch]))
-    entries.sort(key=lambda t: (t[0], t[1], t[2], t[3]))
-    if n_modes is None:
-        n_modes = len(entries)
-    if not 1 <= n_modes <= len(entries):
-        raise ValueError(f"n_modes must be in [1, {len(entries)}]")
-    modes = [Mode(k=e[1], vec=e[4], eig=e[5], parity=e[3], branch=e[2]) for e in entries[:n_modes]]
-    return DirectorBasis(grid, lam4, modes)
+    k = _canonical_wavevectors(grid.cutoff)
+    m = symbol_matrix(lam4, k)
+    asym = np.max(np.abs(m - m.swapaxes(1, 2)), axis=(1, 2))
+    if np.any(asym > 1e-10 * np.maximum(1.0, np.max(np.abs(m), axis=(1, 2)))):
+        raise ValueError("symbol matrix not symmetric; tensor lacks pair symmetry")
+    w, vecs = _deterministic_eigvecs(m)
+    if np.any(w[:, 0] <= 0.0):
+        i = int(np.argmax(w[:, 0] <= 0.0))
+        raise ValueError(
+            f"operator not strongly elliptic: symbol eigenvalue {w[i, 0]:.3e} "
+            f"at k={tuple(k[i].tolist())}"
+        )
+    constants = np.zeros(3, MODE_DTYPE)
+    constants["vec"] = np.eye(3)
+    constants["branch"] = np.arange(3)
+    modes = np.concatenate([constants, _wave_modes(k, vecs, w)])
+    return DirectorBasis(grid, lam4, _leading_modes(modes, _sig(modes["eig"]), n_modes))
 
 
 def build_velocity_basis(grid: SpectralGrid, n_modes: Optional[int] = None) -> VelocityBasis:
     """Transverse trigonometric basis sorted by |k|^2 then lexicographic k."""
-    entries: list[tuple] = []
-    for k in _canonical_wavevectors(grid.cutoff):
-        ka = np.array(k)
-        ksq = float(ka @ ka)
-        p1, p2 = _velocity_polarizations(ka)
-        for pol, p in enumerate((p1, p2)):
-            for parity in (COS, SIN):
-                entries.append((ksq, k, pol, parity, p))
-    entries.sort(key=lambda t: (t[0], t[1], t[2], t[3]))
-    if n_modes is None:
-        n_modes = len(entries)
-    if not 1 <= n_modes <= len(entries):
-        raise ValueError(f"n_modes must be in [1, {len(entries)}]")
-    modes = [Mode(k=e[1], vec=e[4], eig=e[0], parity=e[3], branch=e[2]) for e in entries[:n_modes]]
-    return VelocityBasis(grid, modes)
-
+    k = _canonical_wavevectors(grid.cutoff)
+    kf = k.astype(float)
+    e = np.eye(3)[np.argmin(np.abs(k), axis=1)]
+    p1 = np.cross(e, kf)
+    p1 = _sign_fix(p1 / _norm(p1))
+    p2 = np.cross(kf, p1)
+    p2 = _sign_fix(p2 / _norm(p2))
+    ksq = np.vecdot(k, k).astype(float)
+    modes = _wave_modes(k, np.stack([p1, p2], axis=1), np.repeat(ksq[:, None], 2, axis=1))
+    return VelocityBasis(grid, _leading_modes(modes, modes["eig"], n_modes))

@@ -81,8 +81,11 @@ def _cmd_validate(args) -> int:
 
     grid = SpectralGrid(config.n)
     basis = build_director_basis(model.d2F_dS2_const(), grid, config.n_d)
-    c_lambda = basis.regularity_constant()
-    c_h2 = basis.h2_norm_constant()
+    try:
+        c_lambda = basis.regularity_constant()
+        c_h2 = basis.h2_norm_constant()
+    except ValueError as exc:
+        raise ConfigError(f"key 'n_d': {exc}; the calibration needs a non-constant mode") from exc
     print(f"calibration: c_lambda = {c_lambda:.6g}, c_h2 = {c_h2:.6g}")
 
     for report in (

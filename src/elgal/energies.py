@@ -187,27 +187,17 @@ class WithField(FreeEnergyModel):
         self.has_theta = base.has_theta
         self.has_mixed = base.has_mixed
 
-    def _field_for(self, h):
-        if self.field.ndim == 1 or self.field.shape == h.shape:
-            return self.field
-        # Pointwise probes of a grid-sampled field cycle through its values.
-        flat = self.field.reshape(-1, 3)
-        n = int(np.prod(h.shape[:-1], dtype=int))
-        return flat[np.arange(n) % len(flat)].reshape(h.shape)
-
     def evaluate(self, h, s):
-        hh = self._field_for(h)
-        hdot = np.einsum("...i,...i->...", h, hh)
+        hdot = np.einsum("...i,...i->...", h, self.field)
         return (
             self.base.evaluate(h, s)
-            - self.chi_perp * _norm2(hh, -1)
+            - self.chi_perp * _norm2(self.field, -1)
             - (self.chi_par - self.chi_perp) * hdot**2
         )
 
     def dF_dh(self, h, s):
-        hh = self._field_for(h)
-        hdot = np.einsum("...i,...i->...", h, hh)
-        return self.base.dF_dh(h, s) - 2.0 * (self.chi_par - self.chi_perp) * hdot[..., None] * hh
+        hdot = np.einsum("...i,...i->...", h, self.field)
+        return self.base.dF_dh(h, s) - 2.0 * (self.chi_par - self.chi_perp) * hdot[..., None] * self.field
 
     def dF_dS(self, h, s):
         return self.base.dF_dS(h, s)

@@ -104,7 +104,7 @@ class GalerkinSystem:
             raise ValueError("forcing coefficient vector does not match the velocity basis")
         # Stiff diagonal parts integrated exactly by the stepper.
         self.lin_v = -(coeffs.mu4 / 2.0) * velocity_basis.eigs
-        self.lin_d = -coeffs.gamma * director_basis.sigmas
+        self.lin_d = -coeffs.gamma * director_basis.eigs
         self._exp_cache: dict[float, tuple] = {}
 
     # -- field reconstruction ------------------------------------------------
@@ -218,20 +218,21 @@ def _coefs_from_directive(directive, basis, kind: str) -> np.ndarray:
     if directive[0] == "constant":
         if kind != "director":
             raise ConfigError("key 'velocity': constant initial velocity is not solenoidal-mean-free")
-        target = directive[1]
-        root_v = np.sqrt(basis.grid.volume)
-        for i in range(basis.size):
-            if basis.is_const[i]:
-                coefs[i] = root_v * float(basis.vecs[i] @ target)
+        const = basis.is_const
+        coefs[const] = np.sqrt(basis.grid.volume) * np.vecdot(basis.vecs[const], directive[1])
         return coefs
     if directive[0] == "mode":
         _, k, branch, parity, amp = directive
-        want_parity = COS if parity == "cos" else SIN
-        for i, m in enumerate(basis.modes):
-            if m.k == tuple(k) and m.branch == branch and m.parity == want_parity:
-                coefs[i] = amp
-                return coefs
-        raise ConfigError(f"key '{kind}': mode k={k} branch={branch} {parity} not in retained basis")
+        m = basis.modes
+        hit = np.flatnonzero(
+            (m["k"] == k).all(axis=1)
+            & (m["branch"] == branch)
+            & (m["parity"] == (COS if parity == "cos" else SIN))
+        )
+        if hit.size == 0:
+            raise ConfigError(f"key '{kind}': mode k={k} branch={branch} {parity} not in retained basis")
+        coefs[hit[0]] = amp
+        return coefs
     if directive[0] == "random":
         _, seed, amp = directive
         rng = np.random.default_rng(seed)

@@ -61,7 +61,7 @@ def test_criterion_01_director_relaxation_oracle():
     result = run(director_relaxation().config)
     first, last = result.states[0], result.states[-1]
     idx = int(np.argmax(np.abs(first.d_hat)))
-    sigma = result.system.director_basis.sigmas[idx]
+    sigma = result.system.director_basis.eigs[idx]
     gamma = result.system.coeffs.gamma
     assert sigma == 1.0 and gamma == 1.0 and last.t == pytest.approx(1.0)
     expect = first.d_hat[idx] * math.exp(-1.0)

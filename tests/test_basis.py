@@ -3,6 +3,8 @@ import pytest
 
 from elgal.basis import (
     COS,
+    MODE_DTYPE,
+    SIN,
     DirectorBasis,
     SpectralGrid,
     VelocityBasis,
@@ -14,7 +16,7 @@ from elgal.basis import (
     laplacian_of,
     symbol_matrix,
 )
-from elgal.energies import SimplifiedOseenFrank
+from elgal.energies import ScaledOseenFrank, SimplifiedOseenFrank
 from elgal.tensors import identity_4
 
 SOF_LAM = SimplifiedOseenFrank(2.0, 1.0, 0.5, eps=None).d2F_dS2_const()
@@ -65,7 +67,7 @@ class TestSymbolMatrix:
 
 class TestDirectorBasis:
     def test_mode_counting_first_shell(self, gl_basis):
-        sig = gl_basis.sigmas
+        sig = gl_basis.eigs
         assert np.array_equal(sig[:3], [0.0, 0.0, 0.0])  # constants retained
         assert np.count_nonzero(sig == 1.0) == 18  # 3 wavevectors x 3 axes x 2 parities
 
@@ -81,8 +83,8 @@ class TestDirectorBasis:
         for i in (3, 17, 39):
             z = basis.synthesize(np.eye(basis.size)[i])
             az = elliptic_apply(basis.lam4, grid16, z)
-            scale = max(1.0, basis.sigmas[i])
-            assert np.max(np.abs(az - basis.sigmas[i] * z)) < 1e-10 * scale
+            scale = max(1.0, basis.eigs[i])
+            assert np.max(np.abs(az - basis.eigs[i] * z)) < 1e-10 * scale
 
     def test_eigenvalue_lower_bound(self, grid16):
         model = SimplifiedOseenFrank(2.0, 1.0, 0.5, eps=None)
@@ -90,11 +92,17 @@ class TestDirectorBasis:
         eta = model.ellipticity_constant()
         ksq = np.sum(basis.kvecs**2, axis=1)
         keep = ksq > 0
-        assert np.all(basis.sigmas[keep] >= eta * ksq[keep] - 1e-9)
+        assert np.all(basis.eigs[keep] >= eta * ksq[keep] - 1e-9)
 
     def test_not_elliptic_refused(self, grid16):
-        with pytest.raises(ValueError, match="elliptic"):
+        with pytest.raises(ValueError, match=r"elliptic.* at k=\(0, 0, 1\)"):
             build_director_basis(-identity_4(), grid16, 10)
+
+    def test_asymmetric_symbol_refused(self, grid16):
+        lam = identity_4()
+        lam[0, 1, 1, 1] += 0.1
+        with pytest.raises(ValueError, match="not symmetric"):
+            build_director_basis(lam, grid16, 10)
 
     def test_deterministic_rebuild(self, grid16):
         a = build_director_basis(SOF_LAM, grid16, 60)
@@ -122,8 +130,8 @@ class TestVelocityBasis:
 
     def test_divergence_free_polarizations(self, vel_basis):
         for m in vel_basis.modes:
-            k = np.array(m.k, dtype=float)
-            dot = float(k @ m.vec)
+            k = np.array(m["k"], dtype=float)
+            dot = float(k @ m["vec"])
             if (k == 0).any():
                 assert dot == 0.0
             else:
@@ -272,6 +280,152 @@ class TestScatter:
             oracle = add_at_scatter(basis, coefs)
             assert spec.shape == oracle.shape and spec.dtype == oracle.dtype
             assert spec.tobytes() == oracle.tobytes()
+
+
+def _reference_sign_fix(v):
+    i = int(np.argmax(np.abs(v)))
+    return -v if v[i] < 0 else v
+
+
+def _reference_eigvecs(m):
+    ms = 0.5 * (m + m.T)
+    w, v = np.linalg.eigh(ms)
+    scale = max(abs(w[0]), abs(w[2]), 1.0)
+    out = np.empty((3, 3))
+    start = 0
+    for stop in range(1, 4):
+        if stop < 3 and abs(w[stop] - w[start]) <= 1e-8 * scale:
+            continue
+        sub = v[:, start:stop]
+        if stop - start == 1:
+            out[:, start] = _reference_sign_fix(sub[:, 0])
+        else:
+            proj = sub @ sub.T
+            cols = []
+            for e in np.eye(3):
+                c = proj @ e
+                for prev in cols:
+                    c = c - (prev @ c) * prev
+                nc = np.linalg.norm(c)
+                if nc > 1e-8:
+                    cols.append(c / nc)
+                if len(cols) == stop - start:
+                    break
+            for j, cvec in enumerate(cols):
+                out[:, start + j] = _reference_sign_fix(cvec)
+        start = stop
+    return w, out
+
+
+def _reference_wavevectors(cutoff):
+    out = []
+    rng = range(-cutoff, cutoff + 1)
+    for kx in rng:
+        for ky in rng:
+            for kz in rng:
+                if (kx, ky, kz) == (0, 0, 0):
+                    continue
+                if kx > 0 or (kx == 0 and (ky > 0 or (ky == 0 and kz > 0))):
+                    out.append((kx, ky, kz))
+    return out
+
+
+def _reference_modes(entries):
+    """Mode array of (key, k, branch, parity, vec, eig) tuples in sorted order."""
+    entries.sort(key=lambda t: (t[0], t[1], t[2], t[3]))
+    modes = np.zeros(len(entries), MODE_DTYPE)
+    for i, (_, k, branch, parity, vec, eig) in enumerate(entries):
+        modes[i] = (k, vec, eig, parity, branch)
+    return modes
+
+
+def reference_director_modes(lam4, grid):
+    """Oracle: the director basis built one wavevector at a time, each symbol
+    diagonalized by its own eigh with a Python Gram-Schmidt inside
+    degenerate eigenspaces."""
+    entries = [(0.0, (0, 0, 0), i, COS, e, 0.0) for i, e in enumerate(np.eye(3))]
+    for k in _reference_wavevectors(grid.cutoff):
+        m = np.einsum("ijml,j,l->im", lam4, np.asarray(k, dtype=float), np.asarray(k, dtype=float))
+        w, vecs = _reference_eigvecs(m)
+        for branch in range(3):
+            for parity in (COS, SIN):
+                sig = float(f"{w[branch]:.10e}")
+                entries.append((sig, k, branch, parity, vecs[:, branch], w[branch]))
+    return _reference_modes(entries)
+
+
+def reference_velocity_modes(grid):
+    """Oracle: the velocity basis built one wavevector at a time."""
+    entries = []
+    for k in _reference_wavevectors(grid.cutoff):
+        ka = np.array(k)
+        e = np.zeros(3)
+        e[int(np.argmin(np.abs(ka)))] = 1.0
+        p1 = np.cross(e, ka.astype(float))
+        p1 = _reference_sign_fix(p1 / np.linalg.norm(p1))
+        p2 = np.cross(ka.astype(float), p1)
+        p2 = _reference_sign_fix(p2 / np.linalg.norm(p2))
+        for pol, p in enumerate((p1, p2)):
+            for parity in (COS, SIN):
+                entries.append((float(ka @ ka), k, pol, parity, p, float(ka @ ka)))
+    return _reference_modes(entries)
+
+
+def _random_elliptic_lam(seed):
+    """Pair-symmetric Lam_ijml = S_(ij)(ml) with S symmetric positive definite."""
+    b = np.random.default_rng(seed).standard_normal((9, 9))
+    return (b @ b.T + 0.5 * np.eye(9)).reshape(3, 3, 3, 3)
+
+
+# Eigenvalue multiplicities per wavevector: GL [3], SOF [2, 1], scaled OF
+# with k1 < k2 [1, 2], the random tensor [1, 1, 1].
+ORACLE_LAMS = {
+    "gl": identity_4,
+    "sof": lambda: SOF_LAM,
+    "scaled_of": lambda: ScaledOseenFrank(0.7, 1.0, 0.3, 0.2, 0.25).d2F_dS2_const(),
+    "random": lambda: _random_elliptic_lam(20),
+}
+
+
+def assert_same_modes(basis, oracle):
+    got = {
+        "kvecs": basis.kvecs,
+        "vecs": basis.vecs,
+        "eigs": basis.eigs,
+        "parity": basis.parity,
+        "branch": basis.modes["branch"],
+    }
+    want = {
+        "kvecs": oracle["k"],
+        "vecs": oracle["vec"],
+        "eigs": oracle["eig"],
+        "parity": oracle["parity"],
+        "branch": oracle["branch"],
+    }
+    for name in got:
+        assert got[name].shape == want[name].shape, name
+        assert got[name].dtype == want[name].dtype, name
+        assert got[name].tobytes() == np.ascontiguousarray(want[name]).tobytes(), name
+
+
+class TestBuilderOracle:
+    @pytest.mark.parametrize("n", [8, 16, 24])
+    @pytest.mark.parametrize("lam", sorted(ORACLE_LAMS))
+    def test_director_byte_equal(self, lam, n):
+        grid = SpectralGrid(n)
+        lam4 = ORACLE_LAMS[lam]()
+        oracle = reference_director_modes(lam4, grid)
+        assert_same_modes(build_director_basis(lam4, grid), oracle)
+        for n_modes in (1, 57, len(oracle) - 1):
+            assert_same_modes(build_director_basis(lam4, grid, n_modes), oracle[:n_modes])
+
+    @pytest.mark.parametrize("n", [8, 16, 24])
+    def test_velocity_byte_equal(self, n):
+        grid = SpectralGrid(n)
+        oracle = reference_velocity_modes(grid)
+        assert_same_modes(build_velocity_basis(grid), oracle)
+        for n_modes in (1, 36, len(oracle) - 1):
+            assert_same_modes(build_velocity_basis(grid, n_modes), oracle[:n_modes])
 
 
 class TestManifest:

@@ -251,6 +251,11 @@ class TestCli:
         assert "parodi (informational)" in out
         assert "legendre_hadamard: pass" in out
 
+    def test_validate_constants_only_director_basis_is_config_error(self, tmp_path, capsys):
+        text = MINIMAL.replace("N = 16", "N = 16\nn_d = 3")
+        assert main(["validate", write(tmp_path, text)]) == 2
+        assert "key 'n_d'" in capsys.readouterr().err
+
     def test_validate_fails_on_zero_mu4(self, tmp_path, capsys):
         path = write(tmp_path, MINIMAL.replace("mu4 = 1", "mu4 = 0"))
         assert main(["validate", path]) == 1

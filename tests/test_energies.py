@@ -235,7 +235,7 @@ class TestTotalEnergy:
         coefs = np.zeros(21)
         idx = None
         for i, m in enumerate(basis.modes):
-            if m.eig == 1.0 and m.parity == 1:
+            if m["eig"] == 1.0 and m["parity"] == 1:
                 idx = i
                 break
         coefs[idx] = a * np.sqrt(grid.volume / 2.0)  # amplitude a in physical units
@@ -428,3 +428,12 @@ class TestWithFieldGrid:
         point = WithField(base, field[i, j, k], 0.3, 0.9).evaluate(h[i, j, k], s[i, j, k])
         assert abs(vals[i, j, k] - point) < 1e-14 * max(1.0, abs(point))
         assert model.field_bound == np.max(np.linalg.norm(field.reshape(-1, 3), axis=1))
+
+    def test_mismatched_grid_field_raises(self, rng):
+        model = WithField(GinzburgLandau(1.0), rng.uniform(-0.5, 0.5, (4, 4, 4, 3)), 0.3, 0.9)
+        h = rng.standard_normal((5, 3))
+        s = rng.standard_normal((5, 3, 3))
+        with pytest.raises(ValueError):
+            model.evaluate(h, s)
+        with pytest.raises(ValueError):
+            model.dF_dh(h, s)

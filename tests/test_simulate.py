@@ -136,7 +136,7 @@ class TestAssembleRhs:
         state = SpectralState(0.0, np.zeros(system.velocity_basis.size), d_hat)
         dv, dd = system.assemble_rhs(state)
         gamma = system.coeffs.gamma
-        assert np.max(np.abs(dd + gamma * system.director_basis.sigmas * d_hat)) < 1e-12
+        assert np.max(np.abs(dd + gamma * system.director_basis.eigs * d_hat)) < 1e-12
 
     def test_single_mode_relaxation_forces_no_flow(self, dirichlet8):
         # For one eigenmode the elastic force (grad d)^T q is a pure gradient
@@ -147,7 +147,7 @@ class TestAssembleRhs:
         state = SpectralState(0.0, np.zeros(system.velocity_basis.size), d_hat)
         dv, dd = system.assemble_rhs(state)
         assert np.max(np.abs(dv)) < 1e-13
-        assert abs(dd[10] + system.coeffs.gamma * system.director_basis.sigmas[10] * 0.5) < 1e-13
+        assert abs(dd[10] + system.coeffs.gamma * system.director_basis.eigs[10] * 0.5) < 1e-13
 
     def test_stokes_diagonal_with_quadrature_oracle(self, gl8):
         system, _ = gl8
@@ -179,7 +179,7 @@ class TestStep:
         d_hat[10] = 0.5
         state = SpectralState(0.0, np.zeros(system.velocity_basis.size), d_hat)
         out = system.step(state, 1e-3)
-        expect = 0.5 * np.exp(-system.coeffs.gamma * system.director_basis.sigmas[10] * 1e-3)
+        expect = 0.5 * np.exp(-system.coeffs.gamma * system.director_basis.eigs[10] * 1e-3)
         assert abs(out.d_hat[10] - expect) < 1e-16
         assert out.t == 1e-3
 
