@@ -29,7 +29,7 @@ from typing import Optional
 import numpy as np
 import scipy.fft as _fft
 
-from .tensors import Tensor4, contract42
+from .tensors import Tensor4
 
 
 @dataclass(frozen=True)
@@ -61,13 +61,6 @@ class SpectralGrid:
         return np.fft.fftfreq(self.n, 1.0 / self.n).astype(np.int64)
 
     @cached_property
-    def k_mesh(self) -> np.ndarray:
-        """(n, n, n, 3) integer wavevector mesh in FFT layout."""
-        k = self.wavenumbers
-        kx, ky, kz = np.meshgrid(k, k, k, indexing="ij")
-        return np.stack([kx, ky, kz], axis=-1)
-
-    @cached_property
     def k_mesh_half(self) -> np.ndarray:
         """Wavevector mesh of the real-transform half spectrum, (n, n, n/2+1, 3)."""
         k = self.wavenumbers
@@ -75,19 +68,8 @@ class SpectralGrid:
         kx, ky, kz = np.meshgrid(k, k, kh, indexing="ij")
         return np.stack([kx, ky, kz], axis=-1)
 
-    @cached_property
-    def dealias_mask(self) -> np.ndarray:
-        return (np.abs(self.k_mesh) <= self.cutoff).all(axis=-1)
-
     def axes_points(self) -> np.ndarray:
         return np.arange(self.n) * (2.0 * np.pi / self.n)
-
-    def fft(self, field: np.ndarray) -> np.ndarray:
-        """Normalized forward transform: field(x) = sum_k spec(k) e^{i k.x}."""
-        return _fft.fftn(field, axes=(0, 1, 2), norm="forward")
-
-    def ifft(self, spec: np.ndarray) -> np.ndarray:
-        return np.real(_fft.ifftn(spec, axes=(0, 1, 2), norm="forward"))
 
     def rfft(self, field: np.ndarray) -> np.ndarray:
         """Half-spectrum transform of a real field (same normalization)."""
@@ -104,37 +86,11 @@ class SpectralGrid:
         return float(np.sqrt(np.sum(field * field) * self.cell_volume))
 
 
-def gradient_of(grid: SpectralGrid, field: np.ndarray) -> np.ndarray:
-    """Dealiased spectral gradient; result[..., i, a] = d_a field_i."""
-    spec = grid.fft(field) * grid.dealias_mask[..., None]
-    gspec = spec[..., :, None] * (1j * grid.k_mesh)[..., None, :]
-    return grid.ifft(gspec)
-
-
-def divergence_of(grid: SpectralGrid, mat_field: np.ndarray) -> np.ndarray:
-    """Dealiased spectral row divergence; result_i = sum_j d_j mat_ij."""
-    spec = grid.fft(mat_field) * grid.dealias_mask[..., None, None]
-    dspec = np.sum(spec * (1j * grid.k_mesh)[..., None, :], axis=-1)
-    return grid.ifft(dspec)
-
-
-def laplacian_of(grid: SpectralGrid, field: np.ndarray) -> np.ndarray:
-    spec = grid.fft(field) * grid.dealias_mask[..., None]
-    ksq = np.sum(grid.k_mesh**2, axis=-1)
-    return grid.ifft(-(ksq[..., None]) * spec)
-
-
 def symbol_matrix(lam4: Tensor4, k) -> np.ndarray:
     """Fourier symbol M(k)_im = sum_jl Lam_ijml k_j k_l of -div(Lam : grad .),
     for one wavevector or a stack of them (..., 3) -> (..., 3, 3)."""
     k = np.asarray(k, dtype=float)
     return np.einsum("ijml,...j,...l->...im", lam4, k, k)
-
-
-def elliptic_apply(lam4: Tensor4, grid: SpectralGrid, field: np.ndarray) -> np.ndarray:
-    """Pseudospectral application of z -> -div(Lam : grad z)."""
-    flux = contract42(lam4, gradient_of(grid, field))
-    return -divergence_of(grid, flux)
 
 
 def _canonical_wavevectors(cutoff: int) -> np.ndarray:
@@ -346,17 +302,6 @@ class _TrigBasis:
         if field.shape != (n, n, n, 3):
             raise ValueError(f"expected field of shape {(n, n, n, 3)}, got {field.shape}")
         return self.analyze_spec_half(self.grid.rfft(field).reshape(-1, 3))
-
-    def manifest(self) -> str:
-        lines = []
-        for i, (k, vec, eig, parity) in enumerate(zip(self.kvecs, self.vecs, self.eigs, self.parity)):
-            vec = " ".join(f"{c:+.12e}" for c in vec)
-            par = "cos" if parity == COS else "sin"
-            lines.append(
-                f"{i:4d}  k=({k[0]:+d},{k[1]:+d},{k[2]:+d})  "
-                f"eig={eig:.12e}  parity={par}  vec=[{vec}]"
-            )
-        return "\n".join(lines) + "\n"
 
 
 class DirectorBasis(_TrigBasis):

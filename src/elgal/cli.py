@@ -14,6 +14,7 @@ ELGAL_OUTDIR environment variable, else the config [io] outdir, else ".".
 from __future__ import annotations
 
 import argparse
+import ctypes
 import os
 import sys
 
@@ -31,6 +32,37 @@ from .energies import (
 from .leslie import check_dissipativity, check_parodi
 from .scenarios import BUILTIN_SCENARIOS, Scenario, convergence_suite, run_scenario
 from .simulate import BlowUpError, run
+
+
+# glibc mallopt parameters and the values pinned for the CLI process: the
+# mmap threshold at the 32 MiB ceiling that glibc's dynamic threshold grows
+# to on 64-bit, the trim threshold at twice that, the ratio the dynamic
+# rule keeps.
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_MMAP_THRESHOLD_BYTES = 32 << 20
+_TRIM_THRESHOLD_BYTES = 2 * _MMAP_THRESHOLD_BYTES
+
+
+def _pin_malloc_thresholds() -> None:
+    """Keep freed grid and spectrum temporaries in the heap for reuse.
+
+    Every right-hand side allocates and frees tens of MB of arrays.  With
+    glibc's dynamic thresholds that memory is unmapped or trimmed after each
+    free, so the next RK stage pays a minor page fault on every fresh page.
+    Pinning both thresholds (setting only one turns off the dynamic rule for
+    both and faults more) keeps it mapped.  The CLI owns its process, so the
+    policy lives here and not in library code.  A no-op where the C library
+    has no ``mallopt``.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_BYTES)
+    mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD_BYTES)
 
 
 def _outdir(args, config) -> str:
@@ -135,6 +167,7 @@ def _cmd_inequalities(args) -> int:
 
 
 def main(argv=None) -> int:
+    _pin_malloc_thresholds()
     parser = argparse.ArgumentParser(prog="elgal", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -229,28 +229,36 @@ class _Section:
         return np.array([float(x) for x in parts])
 
 
+# Number of values after each directive keyword.
+_DIRECTIVE_VALUES = {"zero": 0, "constant": 3, "mode": 6, "random": 2}
+
+
 def _parse_directive(sec: _Section, key: str, default=("zero",), allow_constant=False):
     raw = sec.get(key)
     if raw is None:
         return default
-    parts = raw.split()
-    kind = parts[0].lower()
+    kind, *args = raw.split() or ("",)
+    kind = kind.lower()
+    if kind not in _DIRECTIVE_VALUES or (kind == "constant" and not allow_constant):
+        raise ConfigError(f"key '{key}': unknown directive {raw!r}")
+    if len(args) != _DIRECTIVE_VALUES[kind]:
+        raise ConfigError(
+            f"key '{key}': directive {kind!r} takes {_DIRECTIVE_VALUES[kind]} values, "
+            f"got {len(args)} in {raw!r}"
+        )
+    if kind == "mode" and args[4].lower() not in ("cos", "sin"):
+        raise ConfigError(f"key '{key}': parity must be cos or sin")
     try:
         if kind == "zero":
             return ("zero",)
-        if kind == "constant" and allow_constant:
-            return ("constant", np.array([float(x) for x in parts[1:4]]))
+        if kind == "constant":
+            return ("constant", np.array([float(x) for x in args]))
         if kind == "mode":
-            kx, ky, kz, branch = int(parts[1]), int(parts[2]), int(parts[3]), int(parts[4])
-            parity = parts[5].lower()
-            if parity not in ("cos", "sin"):
-                raise ConfigError(f"key '{key}': parity must be cos or sin")
-            return ("mode", (kx, ky, kz), branch, parity, float(parts[6]))
-        if kind == "random":
-            return ("random", int(parts[1]), float(parts[2]))
-    except (IndexError, ValueError) as exc:
+            kx, ky, kz, branch = (int(x) for x in args[:4])
+            return ("mode", (kx, ky, kz), branch, args[4].lower(), float(args[5]))
+        return ("random", int(args[0]), float(args[1]))
+    except ValueError as exc:
         raise ConfigError(f"key '{key}': malformed directive {raw!r}") from exc
-    raise ConfigError(f"key '{key}': unknown directive {raw!r}")
 
 
 def parse_config(path: str) -> SimulationConfig:

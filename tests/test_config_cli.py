@@ -244,6 +244,21 @@ class TestCli:
             tmp_path / "r2" / "ledger.csv"
         ).read_bytes()
 
+    @pytest.mark.parametrize(
+        "key, directive",
+        [
+            ("director", "constant 1 0"),
+            ("director", "constant 1 0 0 0"),
+            ("velocity", "random 3 0.1 junk"),
+            ("velocity", "mode 0 0 1 0 cos 0.3 7"),
+        ],
+    )
+    def test_directive_arity_is_config_error(self, tmp_path, capsys, key, directive):
+        shipped = next(line for line in RUNNABLE.splitlines() if line.startswith(f"{key} ="))
+        text = RUNNABLE.replace(shipped, f"{key} = {directive}")
+        assert main(["run", write(tmp_path, text), "--outdir", str(tmp_path)]) == 2
+        assert f"key '{key}'" in capsys.readouterr().err
+
     def test_validate_passes_for_accepted_setup(self, tmp_path, capsys):
         assert main(["validate", write(tmp_path, MINIMAL)]) == 0
         out = capsys.readouterr().out

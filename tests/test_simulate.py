@@ -1,10 +1,11 @@
 import dataclasses
+import platform
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from elgal.basis import gradient_of
+from elgal.cli import main
 from elgal.config import ConfigError, parse_config
 from elgal.diagnostics import energy_ledger, energy_residual_series
 from elgal.energies import variational_derivative
@@ -20,6 +21,7 @@ from elgal.simulate import (
     save_checkpoint,
 )
 from elgal.tensors import sym
+from oracles import gradient_of
 
 CONFIGS = Path(__file__).resolve().parent.parent / "scripts" / "configs"
 
@@ -364,6 +366,27 @@ class TestFieldSharing:
         energy_residual_series(fresh)
         for rec, ref in zip(result.records, fresh, strict=True):
             assert np.array(rec.row()).tobytes() == np.array(ref.row()).tobytes()
+
+
+@pytest.mark.skipif(
+    platform.libc_ver()[0] != "glibc", reason="the CLI pins malloc thresholds only under glibc"
+)
+def test_cli_process_reuses_freed_step_memory(capsys):
+    # With glibc's dynamic thresholds every RK stage's freed temporaries are
+    # returned to the kernel and re-faulted by the next stage (about 10k
+    # minor faults over these three steps); the CLI pins the thresholds.
+    import resource
+
+    assert main(["validate", str(CONFIGS / "sof_twist.cfg")]) == 0
+    cfg = parse_config(CONFIGS / "sof_twist.cfg")
+    system = build_system(cfg)
+    state = initial_state(cfg, system)
+    for _ in range(2):
+        state = system.step(state, cfg.dt)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(3):
+        state = system.step(state, cfg.dt)
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 64
 
 
 class TestCheckpoint:
