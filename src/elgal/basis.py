@@ -16,8 +16,35 @@ Two orthonormal real bases, each one structured array of modes (``MODE_DTYPE``):
 
 Coefficient vectors are real; ``analyze`` is the grid-quadrature L^2
 projection onto the retained span and ``synthesize`` its right inverse.
-Products of up to three retained fields are integrated exactly by the grid
-quadrature because retained modes satisfy 3 * |k|_inf < n.
+
+Quadrature exactness and the transform grid
+-------------------------------------------
+The builders draw modes from the wavevectors with 3 |k|_inf < N on the
+configured N^3 grid (``SpectralGrid.cutoff``).  ``on_grid`` re-homes the same
+mode array onto another grid.  The n^3-point quadrature integrates
+exp(i k.x) exactly unless every component of a nonzero k is a multiple of
+n, so a product of P retained fields (derivatives included; a gather at a
+retained mode is one more factor), each with |k|_inf <= k_max, is exact
+when P k_max < n.  The solver's pairings, with q the synthesized
+projection q_hat (one retained director field) and S = grad d:
+
+    q_hat:   (dF_dh, z_i) + (dF_dS, grad z_i)               deg F
+    ledger:  quad(F(d, S))                                  deg F
+    d-eq:    ((grad d) v - skw(grad v) d + lam Sv d, z_i)   3
+    v-eq:    ((grad v) v, w_i),  ((grad d)^T q, w_i)        3
+    stress:  (mu4 Sv : grad w_i)                            2
+             ((d x q), (q x d) : grad w_i)                  3
+             ((d x Sv d), (Sv d x d) : grad w_i)            4
+             (mu1 (d.Sv d) d x d : grad w_i)                6
+    ledger:  mu4 ||Sv||^2 2,  kappa (q, Sv d) 3,  A ||Sv d||^2 4,
+             mu1 ||d.Sv d||^2 6
+
+so all are exact once P k_max < n with P = max(6, deg F), and
+``transform_grid_size`` picks the smallest such even n >= 8, capped at N.
+The bases then give the same coefficients on that grid as on the N grid,
+up to rounding.  An energy that is not a polynomial in (d, S) has no P and
+keeps N; so do bases too rich for P k_max < N, where, as the cutoff
+guarantees, products of up to three retained fields stay exact.
 """
 
 from __future__ import annotations
@@ -44,8 +71,9 @@ class SpectralGrid:
 
     @property
     def cutoff(self) -> int:
-        # Strict two-thirds rule: 3 * cutoff < n, so cubic products of
-        # retained fields are quadrature-exact.
+        # Largest |k|_inf the builders draw on this grid.  The strict
+        # two-thirds rule 3 * cutoff < n makes cubic products exact; higher
+        # products need P * k_max < n (see the module docstring).
         return (self.n - 1) // 3
 
     @property
@@ -84,6 +112,15 @@ class SpectralGrid:
 
     def l2_norm(self, field: np.ndarray) -> float:
         return float(np.sqrt(np.sum(field * field) * self.cell_volume))
+
+
+def transform_grid_size(n: int, k_max: int, degree: int | None) -> int:
+    """Smallest even grid size >= 8 with degree * k_max < size, capped at n;
+    n itself when degree is None (no polynomial product bound)."""
+    if degree is None:
+        return n
+    size = max(8, degree * k_max + 1)
+    return min(n, size + size % 2)
 
 
 def symbol_matrix(lam4: Tensor4, k) -> np.ndarray:
@@ -236,6 +273,15 @@ class _TrigBasis:
         ).astype(np.int32).ravel()
         self._spec_len = 6 * n * n * nh
 
+    @property
+    def k_max(self) -> int:
+        """Largest |k|_inf over the retained modes."""
+        return int(np.abs(self.kvecs).max(initial=0))
+
+    def on_grid(self, grid: SpectralGrid) -> "_TrigBasis":
+        """The same modes over another grid, without a new eigen-build."""
+        return self if grid == self.grid else type(self)(grid, self.modes)
+
     def _check_coefs(self, coefs: np.ndarray):
         if coefs.shape != (self.size,):
             raise ValueError(f"expected {self.size} coefficients, got {coefs.shape}")
@@ -310,6 +356,9 @@ class DirectorBasis(_TrigBasis):
     def __init__(self, grid: SpectralGrid, lam4: Tensor4, modes: np.ndarray):
         super().__init__(grid, modes)
         self.lam4 = np.array(lam4)
+
+    def on_grid(self, grid: SpectralGrid) -> "DirectorBasis":
+        return self if grid == self.grid else DirectorBasis(grid, self.lam4, self.modes)
 
     def h2_norm_constant(self) -> float:
         """Largest ||z||_H2 / ||Delta z||_L2 over retained non-constant modes."""

@@ -16,7 +16,7 @@ Sections and keys (defaults in brackets):
     mu1 [1.0]  mu2  mu3  mu4  mu5 [0.0]  mu6 [1.0]
     allow_nondissipative [off]
 [grid]
-    N                   points per dimension (even, >= 8)
+    N                   points per dimension of the largest transform grid (even, >= 8)
     n_v n_d             retained mode counts ["all"]
 [time]
     dt  t_end

@@ -12,6 +12,7 @@ matrix.  Every model exposes
     growth_exponents()    -> declared polynomial growth data
     coercivity_constants()-> (eta1, eta2, eta3) with F >= eta1|S|^2 - eta2|h|^2 - eta3
     ellipticity_constant()-> declared rank-one lower bound of the constant Hessian part
+    degree                -> total polynomial degree in (h, S), None if not polynomial
 
 All methods broadcast over leading axes so grid fields evaluate in one call.
 
@@ -102,6 +103,9 @@ class FreeEnergyModel(ABC):
     # strong-form variational derivative skip work.
     has_theta: bool = False
     has_mixed: bool = False
+    # Total polynomial degree of F in (h, S), or None when F is not a
+    # polynomial; the solver sizes its quadrature grid from it.
+    degree: int | None = None
 
     @abstractmethod
     def evaluate(self, h: Vec3, s: Mat3) -> np.ndarray: ...
@@ -140,6 +144,8 @@ def _norm2(a, axes):
 
 class GinzburgLandau(FreeEnergyModel):
     """Gradient energy with quartic unit-length well, F = |S|^2/2 + w (|h|^2-1)^2."""
+
+    degree = 4
 
     def __init__(self, eps: float = 1.0, penalty: bool = True):
         if eps <= 0:
@@ -186,6 +192,8 @@ class WithField(FreeEnergyModel):
         self.field_bound = float(np.max(np.linalg.norm(self.field.reshape(-1, 3), axis=-1)))
         self.has_theta = base.has_theta
         self.has_mixed = base.has_mixed
+        # A grid-sampled H is not a polynomial in (h, S).
+        self.degree = base.degree if self.field.ndim == 1 else None
 
     def evaluate(self, h, s):
         hdot = np.einsum("...i,...i->...", h, self.field)
@@ -234,6 +242,8 @@ class WithFreedom(FreeEnergyModel):
         self.b_bar = float(b_bar)
         self.has_theta = base.has_theta
         self.has_mixed = base.has_mixed or bool(np.any(self.b != 0.0))
+        # The added terms are quadratic, no higher than any base.
+        self.degree = base.degree
 
     def evaluate(self, h, s):
         sb = np.einsum("...ij,j->...i", s, self.b)
@@ -290,6 +300,8 @@ def _quadratic_eta1(a: float, b: float, c: float) -> float:
 
 class SimplifiedOseenFrank(FreeEnergyModel):
     """Splay/twist-bend quadratic energy with the null-Lagrangian alpha term."""
+
+    degree = 4
 
     def __init__(self, k1: float, k2: float, alpha: float, eps: float | None = None):
         if k1 <= 0 or k2 <= 0:

@@ -10,8 +10,10 @@ with q the L^2-projected variational derivative of the free energy, taken in
 weak form, q_i = (dF_dh, z_i) + (dF_dS, grad z_i), and T the viscous stress
 with the co-rotational rate eliminated.  The weak form makes q the exact
 coefficient gradient of the quadrature energy for every model.  All
-nonlinear pairings are evaluated pseudospectrally with the strict 2/3-rule
-cutoff, so the semi-discrete energy balance holds to rounding error.
+nonlinear pairings are evaluated pseudospectrally by grid quadrature, so the
+semi-discrete energy balance holds to rounding error.  ``build_system`` runs
+the transforms on the smallest grid, up to the configured N, on which those
+pairings are exact for the retained modes (``transform_grid``).
 
 Time stepping is fixed-step integrating-factor RK4: the diagonal linear
 parts (-gamma * sigma_i for director modes, -(mu4/2) |k|^2 for velocity
@@ -36,6 +38,7 @@ from .basis import (
     VelocityBasis,
     build_director_basis,
     build_velocity_basis,
+    transform_grid_size,
 )
 from .config import ConfigError, SimulationConfig
 from .energies import FreeEnergyModel, energy_gradient
@@ -215,9 +218,7 @@ def _coefs_from_directive(directive, basis, kind: str) -> np.ndarray:
     coefs = np.zeros(basis.size)
     if directive[0] == "zero":
         return coefs
-    if directive[0] == "constant":
-        if kind != "director":
-            raise ConfigError("key 'velocity': constant initial velocity is not solenoidal-mean-free")
+    if directive[0] == "constant":  # director only; the parser refuses it elsewhere
         const = basis.is_const
         coefs[const] = np.sqrt(basis.grid.volume) * np.vecdot(basis.vecs[const], directive[1])
         return coefs
@@ -240,7 +241,39 @@ def _coefs_from_directive(directive, basis, kind: str) -> np.ndarray:
     raise ConfigError(f"key '{kind}': unknown directive {directive!r}")
 
 
+# Highest product degree among the right-hand-side and ledger pairings: the
+# mu1 stress against grad w_i and mu1 ||d.Sv d||^2 (see the basis module).
+FLOW_DEGREE = 6
+
+
+class TransformGrid(NamedTuple):
+    """The quadrature grid chosen for a model and its two bases."""
+
+    n: int  # configured N, the largest transform grid
+    n_q: int  # transform grid used
+    degree: int | None  # highest product degree, None for a non-polynomial F
+    k_max: int
+
+    def __str__(self) -> str:
+        if self.degree is None:
+            why = "energy not polynomial"
+        else:
+            why = f"degree {self.degree}, k_max {self.k_max}"
+        return f"grid: N = {self.n}, transform grid {self.n_q} ({why})"
+
+
+def transform_grid(
+    n: int, model: FreeEnergyModel, velocity_basis: VelocityBasis, director_basis: DirectorBasis
+) -> TransformGrid:
+    """The smallest grid on which every pairing of the system is
+    quadrature-exact, capped at N = n; n when F is not polynomial."""
+    degree = None if model.degree is None else max(FLOW_DEGREE, model.degree)
+    k_max = max(velocity_basis.k_max, director_basis.k_max)
+    return TransformGrid(n, transform_grid_size(n, k_max, degree), degree, k_max)
+
+
 def build_system(config: SimulationConfig) -> GalerkinSystem:
+    """The configured system, its bases re-homed onto the transform grid."""
     model = config.build_model()
     coeffs = config.build_coefficients()
     margins = check_dissipativity(coeffs)
@@ -252,6 +285,8 @@ def build_system(config: SimulationConfig) -> GalerkinSystem:
     grid = SpectralGrid(config.n)
     vel = build_velocity_basis(grid, config.n_v)
     dirb = build_director_basis(model.d2F_dS2_const(), grid, config.n_d)
+    grid = SpectralGrid(transform_grid(config.n, model, vel, dirb).n_q)
+    vel, dirb = vel.on_grid(grid), dirb.on_grid(grid)
     forcing = _coefs_from_directive(config.forcing_velocity, vel, "velocity")
     return GalerkinSystem(model, coeffs, grid, vel, dirb, forcing_v_hat=forcing)
 

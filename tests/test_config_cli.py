@@ -1,10 +1,15 @@
+import re
 import textwrap
 
 import numpy as np
 import pytest
 
+from elgal.basis import SpectralGrid, build_director_basis, build_velocity_basis
 from elgal.cli import main
 from elgal.config import ConfigError, parse_config
+from elgal.diagnostics import test_interpolation_inequality as interpolation_report
+from elgal.diagnostics import test_velocity_interpolation as velocity_interpolation_report
+from elgal.simulate import run
 
 MINIMAL = """
 [model]
@@ -161,7 +166,8 @@ class TestCli:
         code = main(["run", "--builtin", "parodi-cross", "--outdir", str(tmp_path)])
         assert code == 0
         assert (tmp_path / "parodi_cross_ledger.csv").exists()
-        assert (tmp_path / "parodi-cross_report.txt").exists()
+        report = (tmp_path / "parodi-cross_report.txt").read_text()
+        assert "grid: N = 8, transform grid 8 (degree 6, k_max 1)" in report
 
     def test_run_builtin_stokes_decay(self, tmp_path):
         # Exercises the decay-envelope assertion against the exact rate.
@@ -265,6 +271,13 @@ class TestCli:
         assert "dissipativity: pass" in out
         assert "parodi (informational)" in out
         assert "legendre_hadamard: pass" in out
+        # Full bases at N = 16 reach k_max = 5: 6 * 5 >= 16 keeps N.
+        assert "grid: N = 16, transform grid 16 (degree 6, k_max 5)" in out
+
+    def test_validate_reports_reduced_transform_grid(self, tmp_path, capsys):
+        text = MINIMAL.replace("N = 16", "N = 16\nn_v = 36\nn_d = 57")
+        assert main(["validate", write(tmp_path, text)]) == 0
+        assert "grid: N = 16, transform grid 8 (degree 6, k_max 1)" in capsys.readouterr().out
 
     def test_validate_constants_only_director_basis_is_config_error(self, tmp_path, capsys):
         text = MINIMAL.replace("N = 16", "N = 16\nn_d = 3")
@@ -282,7 +295,9 @@ class TestCli:
             "type = scaled_oseen_frank\nk1 = 1.5\nk2 = 1\nk3 = 0.9\nk4 = 0.9\ns = 0.25",
         )
         assert main(["validate", write(tmp_path, text)]) == 1
-        assert "theta_bound: FAIL" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "theta_bound: FAIL" in out
+        assert "grid: N = 16, transform grid 16 (energy not polynomial)" in out
 
     def test_convergence_command(self, tmp_path, capsys):
         text = RUNNABLE.replace("dt = 1e-3", "dt = 4e-3").replace(
@@ -319,6 +334,30 @@ class TestCli:
         """
         assert main(["convergence", write(tmp_path, text)]) == 0
         assert "exact" in capsys.readouterr().out
+
+    def test_inequalities_sample_on_configured_grid(self, tmp_path, capsys):
+        # The run uses the 8^3 transform grid, but the testers' L^p norms are
+        # not polynomial: they must be those sampled on the N = 16 grid.
+        path = write(tmp_path, RUNNABLE.replace("N = 8", "N = 16\nn_v = 36\nn_d = 57"))
+        assert main(["inequalities", path]) == 0
+        printed = re.findall(r"constant=(\S+)", capsys.readouterr().out)
+
+        result = run(parse_config(path))
+        assert result.system.grid.n == 8
+        grid = SpectralGrid(16)
+        director_basis = build_director_basis(result.system.model.d2F_dS2_const(), grid, 57)
+        velocity_basis = build_velocity_basis(grid, 36)
+        times = np.array([s.t for s in result.states])
+        d_traj = [(times, np.array([s.d_hat for s in result.states]))]
+        v_traj = [(times, np.array([s.v_hat for s in result.states]))]
+        expected = [
+            interpolation_report(director_basis, d_traj, p, r).empirical_constant
+            for p, r in ((6, 2), ("10/3", "10/3"), (2, 4))
+        ] + [
+            velocity_interpolation_report(velocity_basis, v_traj, p, r).empirical_constant
+            for p, r in ((6, 2), ("30/11", 5), (2, "inf"))
+        ]
+        assert printed == [f"{c:.6g}" for c in expected]
 
     def test_inequalities_command(self, tmp_path, capsys):
         assert main(["inequalities", write(tmp_path, RUNNABLE)]) == 0

@@ -5,10 +5,24 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from elgal import simulate
+from elgal.basis import SpectralGrid, build_director_basis, build_velocity_basis
 from elgal.cli import main
 from elgal.config import ConfigError, parse_config
-from elgal.diagnostics import energy_ledger, energy_residual_series
-from elgal.energies import variational_derivative
+from elgal.diagnostics import (
+    LEDGER_COLUMNS,
+    energy_ledger,
+    energy_residual_series,
+    gateaux_check,
+)
+from elgal.energies import (
+    GinzburgLandau,
+    ScaledOseenFrank,
+    SimplifiedOseenFrank,
+    WithField,
+    WithFreedom,
+    variational_derivative,
+)
 from elgal.scenarios import _base_config
 from elgal.simulate import (
     BlowUpError,
@@ -19,6 +33,7 @@ from elgal.simulate import (
     load_checkpoint,
     run,
     save_checkpoint,
+    transform_grid,
 )
 from elgal.tensors import sym
 from oracles import gradient_of
@@ -366,6 +381,101 @@ class TestFieldSharing:
         energy_residual_series(fresh)
         for rec, ref in zip(result.records, fresh, strict=True):
             assert np.array(rec.row()).tobytes() == np.array(ref.row()).tobytes()
+
+
+class TestTransformGrid:
+    """``build_system`` runs the transforms on the smallest even grid n >= 8
+    with P k_max < n, P = max(6, deg F), capped at N; a non-polynomial
+    energy keeps N."""
+
+    def test_shipped_k_max_1_config_picks_8(self):
+        system = build_system(parse_config(CONFIGS / "sof_twist.cfg"))
+        assert system.grid.n == 8
+        assert system.velocity_basis.grid is system.grid
+        assert system.director_basis.grid is system.grid
+
+    def test_k_max_2_on_16_picks_14(self):
+        # 52 velocity modes have |k|_inf = 1; the 53rd to 64th have 2.
+        system = build_system(_base_config(n=16, n_v=64, n_d=57))
+        assert system.velocity_basis.k_max == 2
+        assert system.grid.n == 14
+
+    def test_full_bases_keep_n(self):
+        # The benchmark's gl-n32-full bases: k_max = 10 and 6 * 10 >= 32.
+        system = build_system(_base_config(n=32))
+        assert system.velocity_basis.k_max == 10
+        assert system.grid.n == 32
+
+    def test_scaled_oseen_frank_keeps_n(self):
+        cfg = dataclasses.replace(parse_config(CONFIGS / "scaled_anisotropy.cfg"), n=16)
+        assert build_system(cfg).grid.n == 16
+
+    def test_non_polynomial_wrappers_keep_n(self):
+        grid = SpectralGrid(16)
+        gl = GinzburgLandau(1.0)
+        vel = build_velocity_basis(grid, 36)
+        dirb = build_director_basis(gl.d2F_dS2_const(), grid, 57)
+        h = np.array([0.3, -0.2, 0.5])
+        on_grid = WithField(gl, np.broadcast_to(h, (16, 16, 16, 3)), 0.4, 1.1)
+        assert transform_grid(16, on_grid, vel, dirb).n_q == 16
+        assert transform_grid(16, WithField(gl, h, 0.4, 1.1), vel, dirb).n_q == 8
+        scaled = ScaledOseenFrank(1.5, 1.0, 0.3, 0.2, 0.25, eps=1.0)
+        assert transform_grid(16, WithFreedom(scaled, h, 0.7), vel, dirb).n_q == 16
+
+    @pytest.mark.parametrize("name", ["sof_twist.cfg", "gl_mixing.cfg"])
+    def test_ledger_matches_configured_grid(self, name, monkeypatch):
+        cfg = dataclasses.replace(parse_config(CONFIGS / name), t_end=0.05)
+        reduced = run(cfg)
+        s = reduced.system
+        assert s.grid.n == 8 < cfg.n
+        grid = SpectralGrid(cfg.n)
+        full = GalerkinSystem(
+            s.model,
+            s.coeffs,
+            grid,
+            s.velocity_basis.on_grid(grid),
+            s.director_basis.on_grid(grid),
+            forcing_v_hat=s.forcing_v_hat,
+        )
+        monkeypatch.setattr(simulate, "build_system", lambda config: full)
+        reference = run(cfg)
+        assert reference.system.grid.n == cfg.n
+        got = np.array([r.row() for r in reduced.records])
+        ref = np.array([r.row() for r in reference.records])
+        scale = np.max(np.abs(ref), axis=0)
+        # The residual holds a centered difference of `total`, so its
+        # rounding scale is that of `total` over the record spacing.
+        col = LEDGER_COLUMNS.index
+        scale[col("residual")] = scale[col("total")] / np.min(np.diff(ref[:, col("t")]))
+        assert np.all(np.abs(got - ref) <= 1e-13 * scale)
+        for a, b in (
+            (reduced.final_state.v_hat, reference.final_state.v_hat),
+            (reduced.final_state.d_hat, reference.final_state.d_hat),
+        ):
+            assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b))
+
+    @pytest.mark.parametrize(
+        "model",
+        [
+            GinzburgLandau(1.0),
+            WithField(GinzburgLandau(1.5), (0.3, -0.2, 0.5), 0.4, 1.1),
+            WithFreedom(GinzburgLandau(1.0), (0.2, -0.1, 0.3), 0.7),
+            SimplifiedOseenFrank(2.0, 1.0, 0.5, eps=1.0),
+        ],
+        ids=["gl", "with_field", "with_freedom", "sof"],
+    )
+    def test_gateaux_check_on_reduced_grid(self, model):
+        grid = SpectralGrid(16)
+        vel = build_velocity_basis(grid, 36)
+        dirb = build_director_basis(model.d2F_dS2_const(), grid, 57)
+        n_q = transform_grid(16, model, vel, dirb).n_q
+        assert n_q < 16
+        basis = dirb.on_grid(SpectralGrid(n_q))
+        rng = np.random.default_rng(16)
+        for _ in range(5):
+            d_hat = rng.uniform(-0.5, 0.5, basis.size)
+            psi = rng.uniform(-1.0, 1.0, basis.size)
+            assert gateaux_check(model, basis, d_hat, psi) <= 1e-6
 
 
 @pytest.mark.skipif(
