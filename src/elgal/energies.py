@@ -99,8 +99,8 @@ class GrowthExponents:
 class FreeEnergyModel(ABC):
     """Behavioral contract shared by all free-energy potentials."""
 
-    # Models with identically-zero terms advertise it so the checkers and the
-    # strong-form variational derivative skip work.
+    # Models with identically-zero terms advertise it so the checkers, the
+    # strong-form variational derivative and energy_gradient skip work.
     has_theta: bool = False
     has_mixed: bool = False
     # Total polynomial degree of F in (h, S), or None when F is not a
@@ -492,15 +492,29 @@ def energy_gradient(model: FreeEnergyModel, basis, coefs):
     both pairings taken by grid quadrature over the retained modes z_i of
     ``basis``.  This is the exact coefficient gradient of the quadrature
     energy quad(F(d, grad d)), for every model.
+
+    The principal part is split off: dF_dS = Lam : S + R with Lam =
+    d2F_dS2_const().  The z_i are eigenfunctions of -div(Lam : grad .), so
+    (Lam : S, grad z_i) = sigma_i d_i, a degree-2 pairing that the grid
+    integrates exactly.  Only R goes through the grid, and only for models
+    with Theta or mixed terms: otherwise d2F_dS2 = Lam and d2F_dSdh = 0, so
+    R is constant and pairs to zero with every grad z_i.
     """
+    lam = model.d2F_dS2_const()
+    if not np.array_equal(basis.lam4, lam):
+        raise ValueError("director basis was not built from the model's d2F_dS2_const()")
     grid = basis.grid
     n = grid.n
     d, grad_d, _ = basis.synthesize_with_derivatives(coefs)
+    q_hat = basis.eigs * coefs
+    if not (model.has_theta or model.has_mixed):
+        q_hat += basis.analyze_spec_half(grid.rfft(model.dF_dh(d, grad_d)).reshape(-1, 3))
+        return d, grad_d, q_hat
     dh, ds = model.gradients(d, grad_d)
-    spec = grid.rfft(np.concatenate([dh, ds.reshape(n, n, n, 9)], axis=-1)).reshape(-1, 12)
-    q_hat = basis.analyze_spec_half(spec[:, 0:3]) + basis.project_stress_spec_half(
-        spec[:, 3:12].reshape(-1, 3, 3)
-    )
+    rem = ds - contract42(lam, grad_d)
+    spec = grid.rfft(np.concatenate([dh, rem.reshape(n, n, n, 9)], axis=-1)).reshape(-1, 12)
+    q_hat += basis.analyze_spec_half(spec[:, 0:3])
+    q_hat += basis.project_stress_spec_half(spec[:, 3:12].reshape(-1, 3, 3))
     return d, grad_d, q_hat
 
 

@@ -186,24 +186,44 @@ def leslie_stress_original(c: LeslieCoefficients, d: Vec3, e: Vec3, grad_v: Mat3
     )
 
 
-def leslie_stress_discrete(
-    c: LeslieCoefficients, d: Vec3, q: Vec3, grad_v: Mat3, sv: Mat3 | None = None
-) -> Mat3:
+def strain_rates(grad_v: Mat3, d: Vec3) -> tuple[Vec3, Vec3]:
+    """(Sv d, Wv d), the symmetric and skew parts of grad v applied to d,
+    from grad v . d and (grad v)^T . d without forming Sv or Wv."""
+    gd = np.einsum("...ia,...a->...i", grad_v, d)
+    gtd = np.einsum("...ai,...a->...i", grad_v, d)
+    svd = gd + gtd
+    svd *= 0.5
+    gd -= gtd
+    gd *= 0.5
+    return svd, gd
+
+
+def coupling_stress(c: LeslieCoefficients, d: Vec3, q: Vec3, svd: Vec3) -> Mat3:
+    """The stress of ``leslie_stress_discrete`` without its mu4 Sv term,
+
+    T - mu4 Sv = mu1 (d.Sv d) d x d - gamma(mu2+mu3) (d x q)_sym
+                 - (d x q)_skw + A (d x Sv d)_sym,
+
+    from d, q and svd = Sv d.  The solver pairs mu4 Sv with the velocity
+    modes in closed form, so only this part goes through the grid.
+    """
+    d_svd = np.einsum("...i,...i->...", d, svd)
+    # Grouped as d x u + w x d to keep temporaries down; expanding u and w
+    # reproduces the sym/skw combination above term by term.
+    a = c.gamma * (c.mu2 + c.mu3)
+    u = -0.5 * (a + 1.0) * q + 0.5 * c.anisotropy * svd + (c.mu1 * d_svd)[..., None] * d
+    w = -0.5 * (a - 1.0) * q + 0.5 * c.anisotropy * svd
+    return outer(d, u) + outer(w, d)
+
+
+def leslie_stress_discrete(c: LeslieCoefficients, d: Vec3, q: Vec3, grad_v: Mat3) -> Mat3:
     """Stress with the co-rotational rate eliminated via e = -lam Sv d - gamma q.
 
     T = mu1 (d.Sv d) d x d + mu4 Sv - gamma(mu2+mu3) (d x q)_sym
         - (d x q)_skw + A (d x Sv d)_sym,    A = mu5+mu6-lam(mu2+mu3).
     """
-    if sv is None:
-        sv = sym(grad_v)
-    svd = np.einsum("...ij,...j->...i", sv, d)
-    d_svd = np.einsum("...i,...i->...", d, svd)
-    # Grouped as mu4 Sv + d x u + w x d to keep temporaries down; expanding
-    # u and w reproduces the sym/skw combination above term by term.
-    a = c.gamma * (c.mu2 + c.mu3)
-    u = -0.5 * (a + 1.0) * q + 0.5 * c.anisotropy * svd + (c.mu1 * d_svd)[..., None] * d
-    w = -0.5 * (a - 1.0) * q + 0.5 * c.anisotropy * svd
-    return c.mu4 * sv + outer(d, u) + outer(w, d)
+    sv = sym(grad_v)
+    return c.mu4 * sv + coupling_stress(c, d, q, np.einsum("...ij,...j->...i", sv, d))
 
 
 def ericksen_stress(model, d: Vec3, grad_d: Mat3) -> Mat3:

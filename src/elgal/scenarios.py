@@ -173,7 +173,7 @@ def run_scenario(scenario: Scenario, outdir: str = ".") -> ScenarioOutcome:
         result = run(scenario.config)
     except BlowUpError as exc:
         diagnostics.write_ledger(exc.records, ledger_path)
-        _write_report(report_path, scenario, exc.records, [f"BLOW-UP  {exc}"])
+        _write_report(report_path, scenario, exc.records, [str(exc.grid), f"BLOW-UP  {exc}"])
         raise
     diagnostics.write_ledger(result.records, ledger_path)
 

@@ -9,7 +9,14 @@ The retained-mode system is
 with q the L^2-projected variational derivative of the free energy, taken in
 weak form, q_i = (dF_dh, z_i) + (dF_dS, grad z_i), and T the viscous stress
 with the co-rotational rate eliminated.  The weak form makes q the exact
-coefficient gradient of the quadrature energy for every model.  All
+coefficient gradient of the quadrature energy for every model.
+
+The principal linear parts are diagonal in the two bases: the z_i are
+eigenfunctions of -div(Lam : grad .) and the w_i orthonormal Stokes modes,
+so (Lam : grad d, grad z_i) = sigma_i d_i and (mu4 Sv, grad w_i) =
+(mu4/2) |k_i|^2 v_i.  Both are applied as these diagonals; only the
+remainder dF_dS - Lam : grad d (nonzero only for energies with Theta or
+mixed terms) and the coupling stress T - mu4 Sv go through the grid.  All
 nonlinear pairings are evaluated pseudospectrally by grid quadrature, so the
 semi-discrete energy balance holds to rounding error.  ``build_system`` runs
 the transforms on the smallest grid, up to the configured N, on which those
@@ -42,20 +49,21 @@ from .basis import (
 )
 from .config import ConfigError, SimulationConfig
 from .energies import FreeEnergyModel, energy_gradient
-from .leslie import LeslieCoefficients, check_dissipativity, leslie_stress_discrete
-from .tensors import sym_skw
+from .leslie import LeslieCoefficients, check_dissipativity, coupling_stress, strain_rates
 
 BLOWUP_THRESHOLD = 1e12
 
 
 class BlowUpError(RuntimeError):
     """A step left a non-finite or huge state.  ``run`` attaches the energy
-    records made up to ``last_good_time`` as ``records``."""
+    records made up to ``last_good_time`` as ``records`` and the run's
+    ``TransformGrid`` as ``grid``."""
 
     def __init__(self, last_good_time: float):
         super().__init__(f"solution blew up; last finite state at t = {last_good_time:.6g}")
         self.last_good_time = last_good_time
         self.records: list = []
+        self.grid: TransformGrid | None = None
 
 
 @dataclass
@@ -79,8 +87,8 @@ class StateFields(NamedTuple):
     q: np.ndarray
     v: np.ndarray
     grad_v: np.ndarray
-    sv: np.ndarray
-    wv: np.ndarray
+    svd: np.ndarray  # Sv d
+    wvd: np.ndarray  # Wv d
 
 
 class GalerkinSystem:
@@ -111,17 +119,23 @@ class GalerkinSystem:
         self._exp_cache: dict[float, tuple] = {}
 
     # -- field reconstruction ------------------------------------------------
-    def velocity_fields(self, v_hat: np.ndarray):
-        """Velocity value, gradient, and the gradient's symmetric and skew parts."""
+    def velocity_fields(self, v_hat: np.ndarray, d: np.ndarray):
+        """Velocity value and gradient, and Sv d and Wv d for the director field d."""
         v, grad_v, _ = self.velocity_basis.synthesize_with_derivatives(v_hat)
-        return (v, grad_v, *sym_skw(grad_v))
+        return (v, grad_v, *strain_rates(grad_v, d))
 
     def initial_projection(self, v0_field: np.ndarray, d0_field: np.ndarray) -> SpectralState:
-        """State at t = 0 from grid fields: Leray-projected velocity, projected director."""
+        """State at t = 0 from grid fields: Leray-projected velocity, projected director.
+
+        Each field is sampled on the n^3 grid that its own shape (n, n, n, 3)
+        gives, which may differ from the transform grid.  The quadrature of
+        a field band-limited to the retained modes against each mode is then
+        exact, as long as 2 k_max < n; coarser grids are refused.
+        """
         return SpectralState(
             t=0.0,
-            v_hat=self.velocity_basis.analyze(v0_field),
-            d_hat=self.director_basis.analyze(d0_field),
+            v_hat=_project_sampled(self.velocity_basis, v0_field),
+            d_hat=_project_sampled(self.director_basis, d0_field),
         )
 
     def director_eval(self, d_hat: np.ndarray):
@@ -131,9 +145,9 @@ class GalerkinSystem:
     def fields(self, state: SpectralState) -> StateFields:
         """Every grid field the right-hand side and the energy ledger read."""
         d, grad_d, q_hat = self.director_eval(state.d_hat)
-        v, grad_v, sv, wv = self.velocity_fields(state.v_hat)
+        v, grad_v, svd, wvd = self.velocity_fields(state.v_hat, d)
         q = self.director_basis.synthesize(q_hat)
-        return StateFields(d, grad_d, q_hat, q, v, grad_v, sv, wv)
+        return StateFields(d, grad_d, q_hat, q, v, grad_v, svd, wvd)
 
     # -- vector field ---------------------------------------------------------
     def assemble_rhs(self, state: SpectralState, fields: StateFields | None = None):
@@ -144,15 +158,12 @@ class GalerkinSystem:
         n = grid.n
         if fields is None:
             fields = self.fields(state)
-        d, grad_d, q_hat, q, v, grad_v, sv, wv = fields
-        transport = (
-            np.einsum("...ia,...a->...i", grad_d, v)
-            - np.einsum("...ij,...j->...i", wv, d)
-            + c.lam * np.einsum("...ij,...j->...i", sv, d)
-        )
+        d, grad_d, q_hat, q, v, grad_v, svd, wvd = fields
+        transport = np.einsum("...ia,...a->...i", grad_d, v) - wvd + c.lam * svd
         convection = np.einsum("...ia,...a->...i", grad_v, v)
         director_force = np.einsum("...ji,...j->...i", grad_d, q)
-        stress = leslie_stress_discrete(c, d, q, grad_v, sv=sv)
+        # The mu4 Sv part of the stress is the diagonal lin_v, added below.
+        stress = coupling_stress(c, d, q, svd)
 
         # One fused forward transform for every quadrature pairing.
         bundle = np.concatenate(
@@ -162,6 +173,7 @@ class GalerkinSystem:
         dd_hat = -self.director_basis.analyze_spec_half(spec[:, 0:3]) - c.gamma * q_hat
         dv_hat = (
             self.forcing_v_hat
+            + self.lin_v * state.v_hat
             + self.velocity_basis.analyze_spec_half(spec[:, 3:6])
             - self.velocity_basis.project_stress_spec_half(spec[:, 6:15].reshape(-1, 3, 3))
         )
@@ -208,6 +220,18 @@ class GalerkinSystem:
         if max(np.max(np.abs(v1), initial=0.0), np.max(np.abs(d1), initial=0.0)) > BLOWUP_THRESHOLD:
             raise BlowUpError(state.t)
         return SpectralState(state.t + dt, v1, d1)
+
+
+def _project_sampled(basis, field: np.ndarray) -> np.ndarray:
+    """Coefficients of a grid field, by quadrature on its own grid."""
+    n = field.shape[0]
+    if n <= 2 * basis.k_max:
+        m = max(8, 2 * basis.k_max + 2)
+        raise ValueError(
+            f"field of shape {field.shape} is too coarse for retained modes up to "
+            f"|k|_inf = {basis.k_max}: sample it on at least {(m, m, m, 3)}"
+        )
+    return basis.on_grid(SpectralGrid(n)).analyze(field)
 
 
 # ---------------------------------------------------------------------------
@@ -339,6 +363,7 @@ def run(config: SimulationConfig) -> SimulationResult:
                 records.append(diagnostics.energy_ledger(system, state, fields=fields))
     except BlowUpError as exc:
         exc.records = records
+        exc.grid = transform_grid(config.n, system.model, system.velocity_basis, system.director_basis)
         raise
     finally:
         # Also fills the residuals of a partial ledger.

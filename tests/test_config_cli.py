@@ -236,6 +236,8 @@ class TestCli:
         assert 0.0 < t_last <= last_good
         report = (tmp_path / "scenario_report.txt").read_text()
         assert "BLOW-UP" in report and f"t = {last_good:.6g}" in report
+        # The same grid line a finished run's report has.
+        assert "\ngrid: N = 8, transform grid 8 (degree 6, k_max 2)\n" in report
 
     def test_outdir_env_variable(self, tmp_path, monkeypatch):
         monkeypatch.setenv("ELGAL_OUTDIR", str(tmp_path / "envout"))

@@ -26,6 +26,7 @@ from elgal.diagnostics import test_velocity_interpolation as velocity_interpolat
 from elgal.energies import GinzburgLandau
 from elgal.scenarios import _base_config
 from elgal.simulate import SpectralState, build_system, run
+from oracles import sym_grad_sq_quadrature
 
 
 @pytest.fixture(scope="module")
@@ -201,6 +202,28 @@ class TestAprioriMonitor:
         assert ok.within_caps is True
         bad = apriori_monitor(system, result.states, caps={"sup_velocity_l2": 1e-9})
         assert bad.within_caps is False
+
+
+    def test_mu4_term_matches_grid_quadrature(self, gl8):
+        # int_mu4_sym_sq and the ledger's diss_mu4 use the closed form
+        # (1/2) sum |k_i|^2 v_i^2; grid quadrature of |sym grad v|^2 agrees.
+        system, cfg = gl8
+        result = run(
+            dataclasses.replace(
+                cfg, initial_velocity=("random", 7, 0.3), initial_director=("random", 8, 0.3)
+            )
+        )
+        mu4 = system.coeffs.mu4
+        quad = np.array(
+            [sym_grad_sq_quadrature(system.velocity_basis, s.v_hat) for s in result.states]
+        )
+        assert np.min(quad) > 0.0
+        ledger = np.array([r.diss_mu4 for r in result.records])
+        assert np.max(np.abs(ledger - mu4 * quad)) <= 1e-12 * np.max(mu4 * quad)
+        t = np.array([s.t for s in result.states])
+        expect = mu4 * float(np.trapezoid(quad, t))
+        got = apriori_monitor(system, result.states).int_mu4_sym_sq
+        assert abs(got - expect) <= 1e-12 * expect
 
 
 def _director_trajectories(basis, n_traj, seed, amplitude=0.5, nt=3):

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from elgal.basis import SpectralGrid, build_director_basis, build_velocity_basis, symbol_matrix
+from elgal.basis import (
+    SpectralGrid,
+    build_director_basis,
+    build_velocity_basis,
+    symbol_matrix,
+    transform_grid_size,
+)
 from elgal.diagnostics import gateaux_check
 from elgal.energies import (
     GinzburgLandau,
@@ -20,6 +26,7 @@ from elgal.energies import (
 )
 from elgal.leslie import ericksen_pairing
 from elgal.tensors import contract42
+from oracles import weak_form_q_hat
 
 E1 = np.array([1.0, 0.0, 0.0])
 Z3 = np.zeros(3)
@@ -204,6 +211,78 @@ class TestEnergyGradient:
         d, gd, hd = basis.synthesize_with_derivatives(d_hat, hessian=True)
         q_oracle = basis.analyze(variational_derivative(model, d, gd, hd))
         assert np.max(np.abs(q_weak - q_oracle)) <= 1e-12 * np.max(np.abs(q_oracle))
+
+
+def split_models():
+    models = builtin_models()
+    models["with_freedom_b0"] = WithFreedom(GinzburgLandau(1.0), (0.0, 0.0, 0.0), 0.7)
+    return models
+
+
+def _constant_principal_part_models():
+    """Every catalog energy whose S-Hessian is constant and has no mixed part."""
+    sof = SimplifiedOseenFrank(2.0, 1.0, 0.5, eps=1.0)
+    return {
+        "gl": GinzburgLandau(1.0),
+        "gl_dirichlet": GinzburgLandau(1.0, penalty=False),
+        "sof": sof,
+        "sof_no_well": SimplifiedOseenFrank(1.5, 0.7, -0.2),
+        "with_field_gl": WithField(GinzburgLandau(1.5), (0.3, -0.2, 0.5), 0.4, 1.1),
+        "with_field_sof": WithField(sof, (0.0, 0.0, 1.0), 0.1, 0.6),
+        "with_freedom_b0": WithFreedom(GinzburgLandau(1.0), (0.0, 0.0, 0.0), 0.7),
+        "with_freedom_b0_sof": WithFreedom(sof, (0.0, 0.0, 0.0), -0.3),
+    }
+
+
+class TestPrincipalSplit:
+    """energy_gradient applies (Lam : S, grad z_i) as sigma_i d_i and pairs
+    only the remainder R = dF_dS - Lam : S on the grid."""
+
+    @pytest.mark.parametrize("name", sorted(split_models()))
+    def test_matches_full_weak_form_at_n16(self, name):
+        model = split_models()[name]
+        basis = build_director_basis(model.d2F_dS2_const(), SpectralGrid(16))
+        d_hat = np.random.default_rng(18).uniform(-0.5, 0.5, basis.size)
+        _, _, q_hat = energy_gradient(model, basis, d_hat)
+        oracle = weak_form_q_hat(model, basis, d_hat)
+        assert np.max(np.abs(q_hat - oracle)) <= 1e-12 * np.max(np.abs(oracle))
+
+    @pytest.mark.parametrize("name", sorted(split_models()))
+    def test_matches_full_weak_form_on_reduced_grid(self, name):
+        model = split_models()[name]
+        basis = build_director_basis(model.d2F_dS2_const(), SpectralGrid(16), 57)
+        n_q = transform_grid_size(16, basis.k_max, 6)
+        assert n_q < 16
+        basis = basis.on_grid(SpectralGrid(n_q))
+        d_hat = np.random.default_rng(19).uniform(-0.5, 0.5, basis.size)
+        _, _, q_hat = energy_gradient(model, basis, d_hat)
+        oracle = weak_form_q_hat(model, basis, d_hat)
+        assert np.max(np.abs(q_hat - oracle)) <= 1e-12 * np.max(np.abs(oracle))
+
+    @pytest.mark.parametrize("name", sorted(_constant_principal_part_models()))
+    def test_remainder_constant_without_theta_or_mixed(self, name, rng):
+        model = _constant_principal_part_models()[name]
+        assert not (model.has_theta or model.has_mixed)
+        h = 2.0 * rng.standard_normal((200, 3))
+        s = 2.0 * rng.standard_normal((200, 3, 3))
+        ds = model.dF_dS(h, s)
+        rem = ds - contract42(model.d2F_dS2_const(), s)
+        assert np.max(np.abs(rem - rem[0])) <= 1e-12 * np.max(np.abs(ds))
+
+    @pytest.mark.parametrize("name", ["with_freedom", "scaled_of"])
+    def test_remainder_varies_with_theta_or_mixed(self, name, rng):
+        model = builtin_models()[name]
+        assert model.has_theta or model.has_mixed
+        h = 2.0 * rng.standard_normal((200, 3))
+        s = 2.0 * rng.standard_normal((200, 3, 3))
+        rem = model.dF_dS(h, s) - contract42(model.d2F_dS2_const(), s)
+        assert np.max(np.abs(rem - rem[0])) > 1e-3
+
+    def test_basis_of_another_tensor_is_refused(self):
+        model = builtin_models()["sof"]
+        basis = build_director_basis(GinzburgLandau(1.0).d2F_dS2_const(), SpectralGrid(8), 21)
+        with pytest.raises(ValueError, match="d2F_dS2_const"):
+            energy_gradient(model, basis, np.zeros(basis.size))
 
 
 @pytest.fixture(scope="module")

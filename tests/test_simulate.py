@@ -36,7 +36,7 @@ from elgal.simulate import (
     transform_grid,
 )
 from elgal.tensors import sym
-from oracles import gradient_of
+from oracles import gradient_of, grid_assemble_rhs
 
 CONFIGS = Path(__file__).resolve().parent.parent / "scripts" / "configs"
 
@@ -95,6 +95,32 @@ class TestInitialProjection:
         nonzero = state.d_hat[np.abs(state.d_hat) > 1e-12]
         assert len(nonzero) == 1
         assert abs(nonzero[0] - expect) < 1e-12
+
+
+    def test_field_sampled_on_its_own_grid(self, rng):
+        # sof_twist.cfg runs on an 8^3 transform grid; a field sampled on the
+        # configured 16^3 grid projects as it does with the 16^3 bases.
+        system = build_system(parse_config(str(CONFIGS / "sof_twist.cfg")))
+        assert system.grid.n == 8
+        grid16 = SpectralGrid(16)
+        vel16 = system.velocity_basis.on_grid(grid16)
+        dir16 = system.director_basis.on_grid(grid16)
+        v0 = vel16.synthesize(rng.uniform(-0.5, 0.5, vel16.size))
+        d0 = dir16.synthesize(rng.uniform(-0.5, 0.5, dir16.size))
+        state = system.initial_projection(v0, d0)
+        assert np.max(np.abs(state.v_hat - vel16.analyze(v0))) <= 1e-13
+        assert np.max(np.abs(state.d_hat - dir16.analyze(d0))) <= 1e-13
+
+    def test_grid_too_coarse_for_retained_modes_is_refused(self):
+        system = build_system(_base_config(n=16))  # full bases, k_max = 5
+        assert system.director_basis.k_max == 5
+        ok = np.zeros((12, 12, 12, 3))
+        coarse = np.zeros((8, 8, 8, 3))
+        system.initial_projection(ok, ok)
+        for v0, d0 in ((coarse, ok), (ok, coarse)):
+            with pytest.raises(ValueError) as info:
+                system.initial_projection(v0, d0)
+            assert "(8, 8, 8, 3)" in str(info.value) and "(12, 12, 12, 3)" in str(info.value)
 
 
 class TestComputeQ:
@@ -187,6 +213,34 @@ class TestAssembleRhs:
         ksq = system.velocity_basis.eigs[0]
         assert abs(dv[0] + 0.5 * mu4 * ksq * v_hat[0]) < 1e-13
         assert np.max(np.abs(dd)) < 1e-13
+
+
+    @pytest.mark.parametrize(
+        "name", ["gl8", "with_freedom", "sof_twist.cfg", "gl_mixing.cfg", "scaled_anisotropy.cfg"]
+    )
+    def test_matches_grid_pairing_of_every_term(self, name, rng):
+        # The solver applies mu4 Sv and Lam : grad d as eigenbasis diagonals;
+        # pairing them on the grid instead gives the same right-hand side.
+        if name == "gl8":
+            cfg = _base_config(n=8, n_v=36, n_d=57)
+        elif name == "with_freedom":
+            cfg = _base_config(
+                n=8,
+                n_v=36,
+                n_d=57,
+                model_type="with_freedom",
+                model_params={"b": np.array([0.3, -0.2, 0.4]), "b_bar": 0.5},
+            )
+        else:
+            cfg = parse_config(str(CONFIGS / name))
+        system = build_system(cfg)
+        state = SpectralState(
+            0.0,
+            rng.uniform(-0.5, 0.5, system.velocity_basis.size),
+            rng.uniform(-0.5, 0.5, system.director_basis.size),
+        )
+        for got, want in zip(system.assemble_rhs(state), grid_assemble_rhs(system, state)):
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 class TestStep:
