@@ -16,7 +16,6 @@ from .diagnostics import (
     apriori_monitor,
     energy_ledger,
     energy_residual_series,
-    gateaux_check,
     test_ericksen_identity,
     test_interpolation_inequality,
     test_velocity_interpolation,
@@ -44,11 +43,8 @@ from .leslie import (
     LeslieCoefficients,
     check_dissipativity,
     check_parodi,
-    ericksen_pairing,
     ericksen_stress,
-    leslie_stress,
     leslie_stress_discrete,
-    leslie_stress_original,
 )
 from .scenarios import BUILTIN_SCENARIOS, Scenario, convergence_suite, run_scenario
 from .simulate import (

@@ -13,9 +13,7 @@
   (gradient norms vanish on constants, which is harmless for the ratios);
 * the elastic-stress cancellation identity
   (T_E : grad v) = ((grad d)^T q, v) on the periodic box, valid for
-  potentials without explicit spatial dependence;
-* a directional-derivative (Gateaux) check of the projected variational
-  derivative against centered differences of the energy functional.
+  potentials without explicit spatial dependence.
 """
 
 from __future__ import annotations
@@ -26,7 +24,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .energies import energy_gradient, total_energy, variational_derivative
+from .energies import total_energy, variational_derivative
 from .leslie import ericksen_stress
 
 LEDGER_COLUMNS = (
@@ -352,7 +350,7 @@ def test_velocity_interpolation(basis, trajectories, p, r) -> InequalityReport:
 
 
 # ---------------------------------------------------------------------------
-# Identity and derivative checks
+# Identity check
 
 
 def test_ericksen_identity(model, director_basis, velocity_basis, d_hat, v_hat) -> float:
@@ -374,22 +372,3 @@ def test_ericksen_identity(model, director_basis, velocity_basis, d_hat, v_hat) 
         np.abs(force).sum(axis=-1)
     )
     return abs(lhs - rhs) / max(scale, 1e-30)
-
-
-def gateaux_check(model, basis, d_hat, psi_hat, eps: float = 1e-5) -> float:
-    """Centered difference of the energy functional against (q, psi).
-
-    Returns |(E(d + eps psi) - E(d - eps psi)) / (2 eps) - (q, psi)|
-    over max(1, |(q, psi)|).
-    """
-    grid = basis.grid
-
-    def energy(coefs):
-        val, grad, _ = basis.synthesize_with_derivatives(coefs)
-        return total_energy(model, val, grad, grid.cell_volume)
-
-    e_plus = energy(d_hat + eps * psi_hat)
-    e_minus = energy(d_hat - eps * psi_hat)
-    _, _, q_hat = energy_gradient(model, basis, d_hat)
-    pairing = float(q_hat @ psi_hat)
-    return abs((e_plus - e_minus) / (2.0 * eps) - pairing) / max(1.0, abs(pairing))

@@ -6,6 +6,7 @@ matrix.  Every model exposes
     evaluate(h, S)        -> F
     dF_dh(h, S)           -> (..., 3)
     dF_dS(h, S)           -> (..., 3, 3)
+    remainder_gradients(h, S) -> (dF_dh, dF_dS - d2F_dS2_const() : S)
     d2F_dS2_const()       -> constant (3,3,3,3) part of the S-Hessian
     d2F_dS2_vary(h, S)    -> state-dependent remainder of the S-Hessian
     d2F_dSdh(h, S)        -> mixed second derivative, T_ijk = d2F / dS_ij dh_k
@@ -134,8 +135,13 @@ class FreeEnergyModel(ABC):
     @abstractmethod
     def ellipticity_constant(self) -> float: ...
 
-    def gradients(self, h: Vec3, s: Mat3) -> tuple[Vec3, Mat3]:
-        return self.dF_dh(h, s), self.dF_dS(h, s)
+    def remainder_gradients(self, h: Vec3, s: Mat3) -> tuple[Vec3, Mat3]:
+        """(dF_dh, R) with R = dF_dS - Lam : S, Lam = d2F_dS2_const().
+
+        R is the part of dF_dS that the solver pairs on the grid; the
+        principal part Lam : S it applies through the eigenbasis.
+        """
+        return self.dF_dh(h, s), self.dF_dS(h, s) - contract42(self.d2F_dS2_const(), s)
 
 
 def _norm2(a, axes):
@@ -203,12 +209,19 @@ class WithField(FreeEnergyModel):
             - (self.chi_par - self.chi_perp) * hdot**2
         )
 
-    def dF_dh(self, h, s):
+    def _field_force(self, h):
         hdot = np.einsum("...i,...i->...", h, self.field)
-        return self.base.dF_dh(h, s) - 2.0 * (self.chi_par - self.chi_perp) * hdot[..., None] * self.field
+        return 2.0 * (self.chi_par - self.chi_perp) * hdot[..., None] * self.field
+
+    def dF_dh(self, h, s):
+        return self.base.dF_dh(h, s) - self._field_force(h)
 
     def dF_dS(self, h, s):
         return self.base.dF_dS(h, s)
+
+    def remainder_gradients(self, h, s):
+        dh, rem = self.base.remainder_gradients(h, s)
+        return dh - self._field_force(h), rem
 
     def d2F_dS2_const(self):
         return self.base.d2F_dS2_const()
@@ -253,12 +266,21 @@ class WithFreedom(FreeEnergyModel):
             + 0.5 * self.b_bar * _norm2(h, -1)
         )
 
+    def _shift_dh(self, dh, h, s):
+        return dh - np.einsum("...ij,j->...i", s, self.b) + self.b_bar * h
+
+    def _shift_ds(self, ds, h):
+        return ds - np.einsum("...i,j->...ij", h, self.b)
+
     def dF_dh(self, h, s):
-        sb = np.einsum("...ij,j->...i", s, self.b)
-        return self.base.dF_dh(h, s) - sb + self.b_bar * h
+        return self._shift_dh(self.base.dF_dh(h, s), h, s)
 
     def dF_dS(self, h, s):
-        return self.base.dF_dS(h, s) - np.einsum("...i,j->...ij", h, self.b)
+        return self._shift_ds(self.base.dF_dS(h, s), h)
+
+    def remainder_gradients(self, h, s):
+        dh, rem = self.base.remainder_gradients(h, s)
+        return self._shift_dh(dh, h, s), self._shift_ds(rem, h)
 
     def d2F_dS2_const(self):
         return self.base.d2F_dS2_const()
@@ -390,21 +412,48 @@ class ScaledOseenFrank(FreeEnergyModel):
         quad = 0.5 * np.einsum("...ij,ijkl,...kl->...", s, self._lam, s)
         return quad + phi * psi * g + self.penalty_weight * (m - 1.0) ** 2
 
+    def remainder_gradients(self, h, s):
+        """(dF_dh, R) in one pass over shared parts, never forming Lam : S.
+
+        With c = curl S, u = h.c, base = 1 + |S|^2, p = phi psi, w the well
+        weight, and dphi/dS = -2 s phi S / base,
+
+            dF_dh = p (k3-k4) u c + (p (k4 |c|^2 - 2 psi g) + 4 w (|h|^2-1)) h,
+            R     = -2 s p g S / base + [a],  a = p ((k3-k4) u h + k4 |h|^2 c),
+
+        where [a] is the skew matrix with [a] : T = a . curl T; the
+        S-derivatives of (h.c)^2 and |c|^2 both fold into it.
+        """
+        c = curl_from_gradient(s)
+        m = np.einsum("...i,...i->...", h, h)
+        u = np.einsum("...i,...i->...", h, c)
+        base = 1.0 + np.einsum("...ij,...ij->...", s, s)
+        phi = base ** (-self.s)
+        psi = 1.0 / (1.0 + m)
+        k34 = self.k3 - self.k4
+        k4_wc = self.k4 * np.einsum("...i,...i->...", c, c)
+        g = 0.5 * (k34 * u**2 + m * k4_wc)
+        p = phi * psi
+        pu = (k34 * p * u)[..., None]
+        pm = (self.k4 * p * m)[..., None]
+        dh = pu * c + (p * (k4_wc - 2.0 * psi * g) + 4.0 * self.penalty_weight * (m - 1.0))[..., None] * h
+        a = pu * h + pm * c
+        rem = (-2.0 * self.s * p * g / base)[..., None, None] * s
+        # [a] is the adjoint of curl_from_gradient: curl_i = S_kj - S_jk over
+        # the cyclic (i, j, k).
+        rem[..., 2, 1] += a[..., 0]
+        rem[..., 1, 2] -= a[..., 0]
+        rem[..., 0, 2] += a[..., 1]
+        rem[..., 2, 0] -= a[..., 1]
+        rem[..., 1, 0] += a[..., 2]
+        rem[..., 0, 1] -= a[..., 2]
+        return dh, rem
+
     def dF_dh(self, h, s):
-        c, m, wc, u, phi, psi, g = self._parts(h, s)
-        psi_h = -2.0 * (psi**2)[..., None] * h
-        g_h = (self.k3 - self.k4) * u[..., None] * c + self.k4 * wc[..., None] * h
-        scaled = phi[..., None] * (psi_h * g[..., None] + psi[..., None] * g_h)
-        return scaled + 4.0 * self.penalty_weight * (m - 1.0)[..., None] * h
+        return self.remainder_gradients(h, s)[0]
 
     def dF_dS(self, h, s):
-        c, m, wc, u, phi, psi, g = self._parts(h, s)
-        umat = np.einsum("ilk,...i->...kl", _EPS3, h)
-        wmat = np.einsum("ilk,...i->...kl", _EPS3, c)
-        phi_s = -2.0 * self.s * ((1.0 + _norm2(s, (-2, -1))) ** (-self.s - 1.0))[..., None, None] * s
-        g_s = (self.k3 - self.k4) * u[..., None, None] * umat + self.k4 * m[..., None, None] * wmat
-        scaled = phi_s * (psi * g)[..., None, None] + (phi * psi)[..., None, None] * g_s
-        return contract42(self._lam, s) + scaled
+        return contract42(self._lam, s) + self.remainder_gradients(h, s)[1]
 
     def d2F_dS2_const(self):
         return self._lam.copy()
@@ -496,12 +545,12 @@ def energy_gradient(model: FreeEnergyModel, basis, coefs):
     The principal part is split off: dF_dS = Lam : S + R with Lam =
     d2F_dS2_const().  The z_i are eigenfunctions of -div(Lam : grad .), so
     (Lam : S, grad z_i) = sigma_i d_i, a degree-2 pairing that the grid
-    integrates exactly.  Only R goes through the grid, and only for models
-    with Theta or mixed terms: otherwise d2F_dS2 = Lam and d2F_dSdh = 0, so
-    R is constant and pairs to zero with every grad z_i.
+    integrates exactly.  Only R, from ``model.remainder_gradients``, goes
+    through the grid, and only for models with Theta or mixed terms:
+    otherwise d2F_dS2 = Lam and d2F_dSdh = 0, so R is constant and pairs to
+    zero with every grad z_i.
     """
-    lam = model.d2F_dS2_const()
-    if not np.array_equal(basis.lam4, lam):
+    if not np.array_equal(basis.lam4, model.d2F_dS2_const()):
         raise ValueError("director basis was not built from the model's d2F_dS2_const()")
     grid = basis.grid
     n = grid.n
@@ -510,8 +559,7 @@ def energy_gradient(model: FreeEnergyModel, basis, coefs):
     if not (model.has_theta or model.has_mixed):
         q_hat += basis.analyze_spec_half(grid.rfft(model.dF_dh(d, grad_d)).reshape(-1, 3))
         return d, grad_d, q_hat
-    dh, ds = model.gradients(d, grad_d)
-    rem = ds - contract42(lam, grad_d)
+    dh, rem = model.remainder_gradients(d, grad_d)
     spec = grid.rfft(np.concatenate([dh, rem.reshape(n, n, n, 9)], axis=-1)).reshape(-1, 12)
     q_hat += basis.analyze_spec_half(spec[:, 0:3])
     q_hat += basis.project_stress_spec_half(spec[:, 3:12].reshape(-1, 3, 3))

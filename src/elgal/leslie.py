@@ -15,9 +15,9 @@ the dissipativity conditions
 and Parodi's relation lam2 + mu2 + mu3 = 0 (optional; when it holds the
 cross coefficient kappa vanishes).
 
-Stress assembly comes in three algebraically equivalent forms: the classic
-six-term sum, the symmetric/skew-sorted form, and the form with the
-co-rotational rate eliminated through e = -lam * Sv d - gamma * q.
+The solver assembles the stress with the co-rotational rate eliminated
+through e = -lam * Sv d - gamma * q.  The classic six-term sum and the
+symmetric/skew-sorted form it is equivalent to live in the tests as oracles.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensors import Mat3, Vec3, outer, sym, sym_skw
+from .tensors import Mat3, Vec3, outer, sym
 
 
 @dataclass(frozen=True)
@@ -145,47 +145,6 @@ def check_parodi(c: LeslieCoefficients, tol: float = 1e-14) -> bool:
     return abs(c.lam2 + c.mu2 + c.mu3) <= tol
 
 
-def leslie_stress(c: LeslieCoefficients, d: Vec3, e: Vec3, grad_v: Mat3) -> Mat3:
-    """Viscous stress in the symmetric/skew-sorted form.
-
-    T = mu1 (d.Sv d) d x d + mu4 Sv + (mu5+mu6) (d x Sv d)_sym
-        + (mu2+mu3) (d x e)_sym + (lam/gamma) (d x Sv d)_skw
-        + (1/gamma) (d x e)_skw,          Sv = sym(grad_v).
-    """
-    sv = sym(grad_v)
-    svd = np.einsum("...ij,...j->...i", sv, d)
-    d_svd = np.einsum("...i,...i->...", d, svd)
-    o_svd_sym, o_svd_skw = sym_skw(outer(d, svd))
-    o_e_sym, o_e_skw = sym_skw(outer(d, e))
-    return (
-        c.mu1 * d_svd[..., None, None] * outer(d, d)
-        + c.mu4 * sv
-        + (c.mu5 + c.mu6) * o_svd_sym
-        + (c.mu2 + c.mu3) * o_e_sym
-        + (c.lam / c.gamma) * o_svd_skw
-        + (1.0 / c.gamma) * o_e_skw
-    )
-
-
-def leslie_stress_original(c: LeslieCoefficients, d: Vec3, e: Vec3, grad_v: Mat3) -> Mat3:
-    """Classic six-term Leslie stress, kept as an independent oracle.
-
-    T = mu1 (d.Sv d) d x d + mu2 e x d + mu3 d x e + mu4 Sv
-        + mu5 Sv d x d + mu6 d x Sv d.
-    """
-    sv = sym(grad_v)
-    svd = np.einsum("...ij,...j->...i", sv, d)
-    d_svd = np.einsum("...i,...i->...", d, svd)
-    return (
-        c.mu1 * d_svd[..., None, None] * outer(d, d)
-        + c.mu2 * outer(e, d)
-        + c.mu3 * outer(d, e)
-        + c.mu4 * sv
-        + c.mu5 * outer(svd, d)
-        + c.mu6 * outer(d, svd)
-    )
-
-
 def strain_rates(grad_v: Mat3, d: Vec3) -> tuple[Vec3, Vec3]:
     """(Sv d, Wv d), the symmetric and skew parts of grad v applied to d,
     from grad v . d and (grad v)^T . d without forming Sv or Wv."""
@@ -229,9 +188,3 @@ def leslie_stress_discrete(c: LeslieCoefficients, d: Vec3, q: Vec3, grad_v: Mat3
 def ericksen_stress(model, d: Vec3, grad_d: Mat3) -> Mat3:
     """Elastic stress (grad d)^T dF_dS(d, grad d)."""
     return np.einsum("...ki,...kj->...ij", grad_d, model.dF_dS(d, grad_d))
-
-
-def ericksen_pairing(model, d: Vec3, grad_d: Mat3, grad_v: Mat3, cell_volume: float) -> float:
-    """Grid quadrature of (elastic stress) : grad v over the periodic box."""
-    te = ericksen_stress(model, d, grad_d)
-    return float(np.sum(te * grad_v) * cell_volume)

@@ -3,16 +3,19 @@
 The solver works on real-transform half spectra only; the first helpers
 apply derivatives through the full ``scipy.fft.fftn`` spectrum instead, so
 the tests can check the Galerkin bases against an independent path.  The
-last ones pair every term on the grid, the principal parts included, which
-the solver applies as eigenbasis diagonals.
+next ones pair every term on the grid, the principal parts included, which
+the solver applies as eigenbasis diagonals.  The last ones are the other
+two forms of the Leslie stress, the elastic-stress pairing, and a centered
+difference of the energy functional against the solver's q_hat.
 """
 
 import numpy as np
 import scipy.fft
 
 from elgal.basis import COS
-from elgal.leslie import leslie_stress_discrete
-from elgal.tensors import contract42, sym, sym_skw
+from elgal.energies import energy_gradient, total_energy
+from elgal.leslie import ericksen_stress, leslie_stress_discrete
+from elgal.tensors import contract42, outer, sym, sym_skw
 
 
 def fft(field):
@@ -124,3 +127,69 @@ def sym_grad_sq_quadrature(basis, v_hat):
     _, grad_v, _ = basis.synthesize_with_derivatives(v_hat)
     sv = sym(grad_v)
     return basis.grid.quad(np.sum(sv * sv, axis=(-2, -1)))
+
+
+def leslie_stress(c, d, e, grad_v):
+    """Viscous stress in the symmetric/skew-sorted form.
+
+    T = mu1 (d.Sv d) d x d + mu4 Sv + (mu5+mu6) (d x Sv d)_sym
+        + (mu2+mu3) (d x e)_sym + (lam/gamma) (d x Sv d)_skw
+        + (1/gamma) (d x e)_skw,          Sv = sym(grad_v).
+    """
+    sv = sym(grad_v)
+    svd = np.einsum("...ij,...j->...i", sv, d)
+    d_svd = np.einsum("...i,...i->...", d, svd)
+    o_svd_sym, o_svd_skw = sym_skw(outer(d, svd))
+    o_e_sym, o_e_skw = sym_skw(outer(d, e))
+    return (
+        c.mu1 * d_svd[..., None, None] * outer(d, d)
+        + c.mu4 * sv
+        + (c.mu5 + c.mu6) * o_svd_sym
+        + (c.mu2 + c.mu3) * o_e_sym
+        + (c.lam / c.gamma) * o_svd_skw
+        + (1.0 / c.gamma) * o_e_skw
+    )
+
+
+def leslie_stress_original(c, d, e, grad_v):
+    """Classic six-term Leslie stress, kept as an independent oracle.
+
+    T = mu1 (d.Sv d) d x d + mu2 e x d + mu3 d x e + mu4 Sv
+        + mu5 Sv d x d + mu6 d x Sv d.
+    """
+    sv = sym(grad_v)
+    svd = np.einsum("...ij,...j->...i", sv, d)
+    d_svd = np.einsum("...i,...i->...", d, svd)
+    return (
+        c.mu1 * d_svd[..., None, None] * outer(d, d)
+        + c.mu2 * outer(e, d)
+        + c.mu3 * outer(d, e)
+        + c.mu4 * sv
+        + c.mu5 * outer(svd, d)
+        + c.mu6 * outer(d, svd)
+    )
+
+
+def ericksen_pairing(model, d, grad_d, grad_v, cell_volume):
+    """Grid quadrature of (elastic stress) : grad v over the periodic box."""
+    te = ericksen_stress(model, d, grad_d)
+    return float(np.sum(te * grad_v) * cell_volume)
+
+
+def gateaux_check(model, basis, d_hat, psi_hat, eps=1e-5):
+    """Centered difference of the energy functional against (q, psi).
+
+    Returns |(E(d + eps psi) - E(d - eps psi)) / (2 eps) - (q, psi)|
+    over max(1, |(q, psi)|).
+    """
+    grid = basis.grid
+
+    def energy(coefs):
+        val, grad, _ = basis.synthesize_with_derivatives(coefs)
+        return total_energy(model, val, grad, grid.cell_volume)
+
+    e_plus = energy(d_hat + eps * psi_hat)
+    e_minus = energy(d_hat - eps * psi_hat)
+    _, _, q_hat = energy_gradient(model, basis, d_hat)
+    pairing = float(q_hat @ psi_hat)
+    return abs((e_plus - e_minus) / (2.0 * eps) - pairing) / max(1.0, abs(pairing))

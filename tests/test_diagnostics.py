@@ -17,7 +17,6 @@ from elgal.diagnostics import (
     apriori_monitor,
     energy_ledger,
     energy_residual_series,
-    gateaux_check,
     write_ledger,
 )
 from elgal.diagnostics import test_ericksen_identity as ericksen_identity_residual
@@ -26,7 +25,7 @@ from elgal.diagnostics import test_velocity_interpolation as velocity_interpolat
 from elgal.energies import GinzburgLandau
 from elgal.scenarios import _base_config
 from elgal.simulate import SpectralState, build_system, run
-from oracles import sym_grad_sq_quadrature
+from oracles import gateaux_check, sym_grad_sq_quadrature
 
 
 @pytest.fixture(scope="module")

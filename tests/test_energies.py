@@ -8,7 +8,6 @@ from elgal.basis import (
     symbol_matrix,
     transform_grid_size,
 )
-from elgal.diagnostics import gateaux_check
 from elgal.energies import (
     GinzburgLandau,
     GrowthExponents,
@@ -24,9 +23,8 @@ from elgal.energies import (
     total_energy,
     variational_derivative,
 )
-from elgal.leslie import ericksen_pairing
 from elgal.tensors import contract42
-from oracles import weak_form_q_hat
+from oracles import ericksen_pairing, gateaux_check, weak_form_q_hat
 
 E1 = np.array([1.0, 0.0, 0.0])
 Z3 = np.zeros(3)
@@ -41,6 +39,20 @@ def builtin_models():
         "sof": SimplifiedOseenFrank(2.0, 1.0, 0.5, eps=1.0),
         "scaled_of": ScaledOseenFrank(1.5, 1.0, 0.3, 0.2, 0.25, eps=1.0),
     }
+
+
+def scaled_wrapper_models():
+    """Both wrappers over scaled Oseen-Frank, with k3 != k4 so that every
+    (k3 - k4) term is live."""
+    scaled_of = ScaledOseenFrank(1.5, 1.0, 0.3, 0.2, 0.25, eps=1.0)
+    return {
+        "with_field_scaled_of": WithField(scaled_of, (0.3, -0.2, 0.5), 0.4, 1.1),
+        "with_freedom_scaled_of": WithFreedom(scaled_of, (0.2, -0.1, 0.3), 0.7),
+    }
+
+
+def remainder_models():
+    return {**builtin_models(), **scaled_wrapper_models()}
 
 
 class TestHessianStructure:
@@ -81,18 +93,37 @@ class TestEvaluate:
             ScaledOseenFrank(1.0, 1.0, -0.1, 0.0, 0.25)
 
 
+class TestRemainderGradients:
+    """remainder_gradients(h, S) is (dF_dh, dF_dS - Lam : S)."""
+
+    @pytest.mark.parametrize("name", sorted(remainder_models()))
+    def test_matches_dF_dh_and_dF_dS(self, name, rng):
+        model = remainder_models()[name]
+        h = rng.uniform(-2, 2, (200, 3))
+        s = rng.standard_normal((200, 3, 3))
+        s *= (rng.uniform(0, 6, 200) / np.linalg.norm(s, axis=(1, 2)))[:, None, None]
+        dh, rem = model.remainder_gradients(h, s)
+        ref_dh = model.dF_dh(h, s)
+        ref_ds = model.dF_dS(h, s)
+        assert np.max(np.abs(dh - ref_dh)) <= 1e-14 * np.max(np.abs(ref_dh))
+        ref_rem = ref_ds - contract42(model.d2F_dS2_const(), s)
+        assert np.max(np.abs(rem - ref_rem)) <= 1e-13 * np.max(np.abs(ref_ds))
+
+
 class TestGradients:
     def test_gl_penalty_gradient(self):
-        gh, gs = GinzburgLandau(1.0).gradients(np.array([2.0, 0.0, 0.0]), Z33)
+        model, h = GinzburgLandau(1.0), np.array([2.0, 0.0, 0.0])
+        gh, gs = model.dF_dh(h, Z33), model.dF_dS(h, Z33)
         assert np.allclose(gh, [6.0, 0.0, 0.0], atol=1e-14)
         assert np.array_equal(gs, Z33)
 
     def test_minimizer_is_stationary(self):
         for model in builtin_models().values():
-            gh, gs = model.gradients(E1, Z33)
+            gh, gs = model.dF_dh(E1, Z33), model.dF_dS(E1, Z33)
             # not every model has (e1, 0) as a stationary point; the plain
             # quartic-well models do
-        gh, gs = GinzburgLandau(2.0).gradients(E1, Z33)
+        model = GinzburgLandau(2.0)
+        gh, gs = model.dF_dh(E1, Z33), model.dF_dS(E1, Z33)
         assert np.array_equal(gh, Z3)
         assert np.array_equal(gs, Z33)
 
@@ -122,7 +153,7 @@ class TestGradients:
                 em = np.zeros((3, 3))
                 em[i, j] = step
                 gs[:, i, j] = (model.evaluate(h, s + em) - model.evaluate(h, s - em)) / (2 * step)
-        ah, as_ = model.gradients(h, s)
+        ah, as_ = model.dF_dh(h, s), model.dF_dS(h, s)
         assert np.max(np.abs(gh - ah)) <= 1e-6 * max(1.0, np.max(np.abs(ah)))
         assert np.max(np.abs(gs - as_)) <= 1e-6 * max(1.0, np.max(np.abs(as_)))
 
@@ -191,9 +222,9 @@ class TestVariationalDerivative:
 class TestEnergyGradient:
     """The solver's q_hat at N = 16 with the full 3993-mode basis."""
 
-    @pytest.mark.parametrize("name", sorted(builtin_models()))
+    @pytest.mark.parametrize("name", sorted(remainder_models()))
     def test_exact_gradient_of_quadrature_energy(self, name):
-        model = builtin_models()[name]
+        model = remainder_models()[name]
         basis = build_director_basis(model.d2F_dS2_const(), SpectralGrid(16))
         rng = np.random.default_rng(16)
         for _ in range(5):
@@ -214,7 +245,7 @@ class TestEnergyGradient:
 
 
 def split_models():
-    models = builtin_models()
+    models = remainder_models()
     models["with_freedom_b0"] = WithFreedom(GinzburgLandau(1.0), (0.0, 0.0, 0.0), 0.7)
     return models
 

@@ -9,13 +9,11 @@ from elgal.leslie import (
     LeslieCoefficients,
     check_dissipativity,
     check_parodi,
-    ericksen_pairing,
     ericksen_stress,
-    leslie_stress,
     leslie_stress_discrete,
-    leslie_stress_original,
 )
 from elgal.tensors import sym
+from oracles import ericksen_pairing, leslie_stress, leslie_stress_original
 
 mu_float = st.floats(-5, 5, allow_nan=False, allow_infinity=False)
 

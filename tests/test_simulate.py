@@ -13,7 +13,6 @@ from elgal.diagnostics import (
     LEDGER_COLUMNS,
     energy_ledger,
     energy_residual_series,
-    gateaux_check,
 )
 from elgal.energies import (
     GinzburgLandau,
@@ -36,7 +35,7 @@ from elgal.simulate import (
     transform_grid,
 )
 from elgal.tensors import sym
-from oracles import gradient_of, grid_assemble_rhs
+from oracles import gateaux_check, gradient_of, grid_assemble_rhs
 
 CONFIGS = Path(__file__).resolve().parent.parent / "scripts" / "configs"
 
