@@ -79,13 +79,12 @@ class EnergyRecord:
         )
 
 
-def energy_ledger(system, state, de_dt: float | None = None, fields=None) -> EnergyRecord:
+def energy_ledger(system, state, fields=None) -> EnergyRecord:
     """All terms of the energy balance at one instant, by dealiased quadrature.
 
-    ``de_dt`` (the time derivative of kinetic + free) is the caller's
-    business; when given, the residual is filled immediately, otherwise
-    ``energy_residual_series`` fills it from adjacent records.  ``fields`` is
-    ``system.fields(state)`` when the caller already has it.
+    The residual is left for ``energy_residual_series``, which fills it from
+    adjacent records.  ``fields`` is ``system.fields(state)`` when the caller
+    already has it.
     """
     c = system.coeffs
     grid = system.grid
@@ -94,7 +93,7 @@ def energy_ledger(system, state, de_dt: float | None = None, fields=None) -> Ene
     d, grad_d, q_hat, q, svd = fields.d, fields.grad_d, fields.q_hat, fields.q, fields.svd
     d_svd = np.einsum("...i,...i->...", d, svd)
 
-    rec = EnergyRecord(
+    return EnergyRecord(
         t=state.t,
         kinetic=0.5 * float(state.v_hat @ state.v_hat),
         free=total_energy(system.model, d, grad_d, grid.cell_volume),
@@ -105,9 +104,6 @@ def energy_ledger(system, state, de_dt: float | None = None, fields=None) -> Ene
         cross=c.kappa * grid.quad(np.einsum("...i,...i->...", q, svd)),
         g_power=float(system.forcing_v_hat @ state.v_hat),
     )
-    if de_dt is not None:
-        rec.residual = de_dt + rec.dissipation - rec.g_power - rec.cross
-    return rec
 
 
 def sym_grad_sq(velocity_basis, v_hat: np.ndarray) -> float:

@@ -5,8 +5,8 @@ matrix.  Every model exposes
 
     evaluate(h, S)        -> F
     dF_dh(h, S)           -> (..., 3)
-    dF_dS(h, S)           -> (..., 3, 3)
-    remainder_gradients(h, S) -> (dF_dh, dF_dS - d2F_dS2_const() : S)
+    remainder_gradients(h, S) -> (dF_dh, R), R = 0 unless overridden
+    dF_dS(h, S)           -> (..., 3, 3), defined once as d2F_dS2_const() : S + R
     d2F_dS2_const()       -> constant (3,3,3,3) part of the S-Hessian
     d2F_dS2_vary(h, S)    -> state-dependent remainder of the S-Hessian
     d2F_dSdh(h, S)        -> mixed second derivative, T_ijk = d2F / dS_ij dh_k
@@ -60,6 +60,7 @@ from .tensors import (
     contract43,
     curl_from_gradient,
     curl_quadratic_4,
+    frob,
     identity_4,
     trace_outer_4,
     transpose_4,
@@ -115,9 +116,6 @@ class FreeEnergyModel(ABC):
     def dF_dh(self, h: Vec3, s: Mat3) -> Vec3: ...
 
     @abstractmethod
-    def dF_dS(self, h: Vec3, s: Mat3) -> Mat3: ...
-
-    @abstractmethod
     def d2F_dS2_const(self) -> Tensor4: ...
 
     def d2F_dS2_vary(self, h: Vec3, s: Mat3) -> Tensor4:
@@ -139,9 +137,13 @@ class FreeEnergyModel(ABC):
         """(dF_dh, R) with R = dF_dS - Lam : S, Lam = d2F_dS2_const().
 
         R is the part of dF_dS that the solver pairs on the grid; the
-        principal part Lam : S it applies through the eigenbasis.
+        principal part Lam : S it applies through the eigenbasis.  This
+        default is for energies whose dF_dS is exactly Lam : S, so R = 0.
         """
-        return self.dF_dh(h, s), self.dF_dS(h, s) - contract42(self.d2F_dS2_const(), s)
+        return self.dF_dh(h, s), np.zeros(np.broadcast_shapes(h.shape[:-1], s.shape[:-2]) + (3, 3))
+
+    def dF_dS(self, h: Vec3, s: Mat3) -> Mat3:
+        return contract42(self.d2F_dS2_const(), s) + self.remainder_gradients(h, s)[1]
 
 
 def _norm2(a, axes):
@@ -166,9 +168,6 @@ class GinzburgLandau(FreeEnergyModel):
     def dF_dh(self, h, s):
         m = _norm2(h, -1)
         return 4.0 * self.penalty_weight * (m - 1.0)[..., None] * h
-
-    def dF_dS(self, h, s):
-        return np.broadcast_to(s, np.broadcast_shapes(h.shape[:-1], s.shape[:-2]) + (3, 3)).copy()
 
     def d2F_dS2_const(self):
         return identity_4()
@@ -215,9 +214,6 @@ class WithField(FreeEnergyModel):
 
     def dF_dh(self, h, s):
         return self.base.dF_dh(h, s) - self._field_force(h)
-
-    def dF_dS(self, h, s):
-        return self.base.dF_dS(h, s)
 
     def remainder_gradients(self, h, s):
         dh, rem = self.base.remainder_gradients(h, s)
@@ -269,18 +265,12 @@ class WithFreedom(FreeEnergyModel):
     def _shift_dh(self, dh, h, s):
         return dh - np.einsum("...ij,j->...i", s, self.b) + self.b_bar * h
 
-    def _shift_ds(self, ds, h):
-        return ds - np.einsum("...i,j->...ij", h, self.b)
-
     def dF_dh(self, h, s):
         return self._shift_dh(self.base.dF_dh(h, s), h, s)
 
-    def dF_dS(self, h, s):
-        return self._shift_ds(self.base.dF_dS(h, s), h)
-
     def remainder_gradients(self, h, s):
         dh, rem = self.base.remainder_gradients(h, s)
-        return self._shift_dh(dh, h, s), self._shift_ds(rem, h)
+        return self._shift_dh(dh, h, s), rem - np.einsum("...i,j->...ij", h, self.b)
 
     def d2F_dS2_const(self):
         return self.base.d2F_dS2_const()
@@ -339,16 +329,13 @@ class SimplifiedOseenFrank(FreeEnergyModel):
         )
 
     def evaluate(self, h, s):
-        quad = 0.5 * np.einsum("...ij,ijkl,...kl->...", s, self._lam, s)
+        quad = 0.5 * frob(s, contract42(self._lam, s))
         m = _norm2(h, -1)
         return quad + self.penalty_weight * (m - 1.0) ** 2
 
     def dF_dh(self, h, s):
         m = _norm2(h, -1)
         return 4.0 * self.penalty_weight * (m - 1.0)[..., None] * h
-
-    def dF_dS(self, h, s):
-        return contract42(self._lam, s)
 
     def d2F_dS2_const(self):
         return self._lam.copy()
@@ -398,18 +385,21 @@ class ScaledOseenFrank(FreeEnergyModel):
 
     # -- scalar building blocks of the damped anisotropic part ---------------
     def _parts(self, h, s):
+        """c = curl S, m = |h|^2, u = h.c, base = 1 + |S|^2, phi = base^(-s),
+        psi = 1/(1+m), k4 |c|^2 and g = ((k3-k4) u^2 + k4 m |c|^2) / 2."""
         c = curl_from_gradient(s)
-        m = _norm2(h, -1)
-        wc = _norm2(c, -1)
+        m = np.einsum("...i,...i->...", h, h)
         u = np.einsum("...i,...i->...", h, c)
-        phi = (1.0 + _norm2(s, (-2, -1))) ** (-self.s)
+        base = 1.0 + np.einsum("...ij,...ij->...", s, s)
+        phi = base ** (-self.s)
         psi = 1.0 / (1.0 + m)
-        g = 0.5 * (self.k3 - self.k4) * u**2 + 0.5 * self.k4 * m * wc
-        return c, m, wc, u, phi, psi, g
+        k4_wc = self.k4 * np.einsum("...i,...i->...", c, c)
+        g = 0.5 * ((self.k3 - self.k4) * u**2 + m * k4_wc)
+        return c, m, u, base, phi, psi, k4_wc, g
 
     def evaluate(self, h, s):
-        _, m, _, _, phi, psi, g = self._parts(h, s)
-        quad = 0.5 * np.einsum("...ij,ijkl,...kl->...", s, self._lam, s)
+        _, m, _, _, phi, psi, _, g = self._parts(h, s)
+        quad = 0.5 * frob(s, contract42(self._lam, s))
         return quad + phi * psi * g + self.penalty_weight * (m - 1.0) ** 2
 
     def remainder_gradients(self, h, s):
@@ -424,17 +414,9 @@ class ScaledOseenFrank(FreeEnergyModel):
         where [a] is the skew matrix with [a] : T = a . curl T; the
         S-derivatives of (h.c)^2 and |c|^2 both fold into it.
         """
-        c = curl_from_gradient(s)
-        m = np.einsum("...i,...i->...", h, h)
-        u = np.einsum("...i,...i->...", h, c)
-        base = 1.0 + np.einsum("...ij,...ij->...", s, s)
-        phi = base ** (-self.s)
-        psi = 1.0 / (1.0 + m)
-        k34 = self.k3 - self.k4
-        k4_wc = self.k4 * np.einsum("...i,...i->...", c, c)
-        g = 0.5 * (k34 * u**2 + m * k4_wc)
+        c, m, u, base, phi, psi, k4_wc, g = self._parts(h, s)
         p = phi * psi
-        pu = (k34 * p * u)[..., None]
+        pu = ((self.k3 - self.k4) * p * u)[..., None]
         pm = (self.k4 * p * m)[..., None]
         dh = pu * c + (p * (k4_wc - 2.0 * psi * g) + 4.0 * self.penalty_weight * (m - 1.0))[..., None] * h
         a = pu * h + pm * c
@@ -452,24 +434,25 @@ class ScaledOseenFrank(FreeEnergyModel):
     def dF_dh(self, h, s):
         return self.remainder_gradients(h, s)[0]
 
-    def dF_dS(self, h, s):
-        return contract42(self._lam, s) + self.remainder_gradients(h, s)[1]
-
     def d2F_dS2_const(self):
         return self._lam.copy()
 
-    def d2F_dS2_vary(self, h, s):
-        c, m, wc, u, phi, psi, g = self._parts(h, s)
-        s2 = _norm2(s, (-2, -1))
-        phi1 = (1.0 + s2) ** (-self.s - 1.0)
-        phi2 = (1.0 + s2) ** (-self.s - 2.0)
+    def _hessian_parts(self, h, s):
+        """_parts plus phi/base, [h] and [c] (the skew matrices U, W of h and
+        c), dphi/dS and dg/dS = (k3-k4) u U + k4 |h|^2 W."""
+        parts = c, m, u, base, phi, _, _, _ = self._parts(h, s)
+        phi1 = phi / base
         umat = np.einsum("ilk,...i->...kl", _EPS3, h)
         wmat = np.einsum("ilk,...i->...kl", _EPS3, c)
         phi_s = -2.0 * self.s * phi1[..., None, None] * s
         g_s = (self.k3 - self.k4) * u[..., None, None] * umat + self.k4 * m[..., None, None] * wmat
+        return parts, phi1, umat, wmat, phi_s, g_s
+
+    def d2F_dS2_vary(self, h, s):
+        (_, m, _, base, phi, psi, _, g), phi1, umat, _, phi_s, g_s = self._hessian_parts(h, s)
         phi_ss = (
             -2.0 * self.s * phi1[..., None, None, None, None] * identity_4()
-            + 4.0 * self.s * (self.s + 1.0) * phi2[..., None, None, None, None]
+            + 4.0 * self.s * (self.s + 1.0) * (phi1 / base)[..., None, None, None, None]
             * np.einsum("...ij,...kl->...ijkl", s, s)
         )
         g_ss = (self.k3 - self.k4) * np.einsum("...ij,...kl->...ijkl", umat, umat) + self.k4 * (
@@ -484,15 +467,9 @@ class ScaledOseenFrank(FreeEnergyModel):
         )
 
     def d2F_dSdh(self, h, s):
-        c, m, wc, u, phi, psi, g = self._parts(h, s)
-        s2 = _norm2(s, (-2, -1))
-        phi1 = (1.0 + s2) ** (-self.s - 1.0)
-        umat = np.einsum("ilk,...i->...kl", _EPS3, h)
-        wmat = np.einsum("ilk,...i->...kl", _EPS3, c)
-        phi_s = -2.0 * self.s * phi1[..., None, None] * s
+        (c, _, u, _, phi, psi, k4_wc, g), _, umat, wmat, phi_s, g_s = self._hessian_parts(h, s)
         psi_h = -2.0 * (psi**2)[..., None] * h
-        g_h = (self.k3 - self.k4) * u[..., None] * c + self.k4 * wc[..., None] * h
-        g_s = (self.k3 - self.k4) * u[..., None, None] * umat + self.k4 * m[..., None, None] * wmat
+        g_h = (self.k3 - self.k4) * u[..., None] * c + k4_wc[..., None] * h
         # dg_S / dh_k = (k3-k4) (c_k U_ij + u eps_kji) + 2 k4 h_k W_ij
         dgs_dh = (
             (self.k3 - self.k4)

@@ -124,23 +124,15 @@ def _evaluate_assertions(result) -> list[tuple[str, bool, str]]:
             diffs = np.diff([r.total for r in records])
             ok = bool(np.all(diffs <= slack))
             checks.append((key, ok, f"max increase {diffs.max() if len(diffs) else 0.0:.3e} vs slack {slack:.1e}"))
-        elif key == "kinetic_decay_rate":
+        elif key in ("kinetic_decay_rate", "director_energy_decay_rate"):
+            attr = "kinetic" if key == "kinetic_decay_rate" else "free"
             rate, rtol = payload
-            k0 = records[0].kinetic
+            e0 = getattr(records[0], attr)
             worst = 0.0
             for r in records:
-                expect = k0 * np.exp(-rate * r.t)
+                expect = e0 * np.exp(-rate * r.t)
                 if expect > 0:
-                    worst = max(worst, abs(r.kinetic - expect) / expect)
-            checks.append((key, worst <= rtol, f"worst relative deviation {worst:.3e} vs {rtol:.1e}"))
-        elif key == "director_energy_decay_rate":
-            rate, rtol = payload
-            f0 = records[0].free
-            worst = 0.0
-            for r in records:
-                expect = f0 * np.exp(-rate * r.t)
-                if expect > 0:
-                    worst = max(worst, abs(r.free - expect) / expect)
+                    worst = max(worst, abs(getattr(r, attr) - expect) / expect)
             checks.append((key, worst <= rtol, f"worst relative deviation {worst:.3e} vs {rtol:.1e}"))
         elif key == "residual_cap":
             interior = [abs(r.residual) for r in records[1:-1]] or [0.0]

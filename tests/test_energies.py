@@ -136,9 +136,9 @@ class TestGradients:
         expect = base.dF_dS(h, s) - np.einsum("...i,j->...ij", h, b)
         assert np.allclose(model.dF_dS(h, s), expect, atol=1e-15)
 
-    @pytest.mark.parametrize("name", sorted(builtin_models()))
+    @pytest.mark.parametrize("name", sorted(remainder_models()))
     def test_finite_difference_consistency(self, name, rng):
-        model = builtin_models()[name]
+        model = remainder_models()[name]
         h = rng.uniform(-3, 3, (100, 3))
         s = rng.uniform(-3, 3, (100, 3, 3))
         step = 1e-5
@@ -157,9 +157,9 @@ class TestGradients:
         assert np.max(np.abs(gh - ah)) <= 1e-6 * max(1.0, np.max(np.abs(ah)))
         assert np.max(np.abs(gs - as_)) <= 1e-6 * max(1.0, np.max(np.abs(as_)))
 
-    @pytest.mark.parametrize("name", sorted(builtin_models()))
+    @pytest.mark.parametrize("name", sorted(remainder_models()))
     def test_second_derivative_consistency(self, name, rng):
-        model = builtin_models()[name]
+        model = remainder_models()[name]
         h = rng.uniform(-3, 3, (50, 3))
         s = rng.uniform(-3, 3, (50, 3, 3))
         step = 1e-5
