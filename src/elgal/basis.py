@@ -16,6 +16,11 @@ Two orthonormal real bases, each one structured array of modes (``MODE_DTYPE``):
 
 Coefficient vectors are real; ``analyze`` is the grid-quadrature L^2
 projection onto the retained span and ``synthesize`` its right inverse.
+Both move coefficients through only the half-spectrum entries the modes
+touch (see ``_TrigBasis``): the scatter accumulates on a compact table of
+those entries and forms the gradient and Hessian spectra there, and the
+gathers contract once per retained (wavevector, branch) pair, whose cosine
+and sine modes take the real and imaginary part of the same value.
 
 Quadrature exactness and the transform grid
 -------------------------------------------
@@ -87,14 +92,6 @@ class SpectralGrid:
     @cached_property
     def wavenumbers(self) -> np.ndarray:
         return np.fft.fftfreq(self.n, 1.0 / self.n).astype(np.int64)
-
-    @cached_property
-    def k_mesh_half(self) -> np.ndarray:
-        """Wavevector mesh of the real-transform half spectrum, (n, n, n/2+1, 3)."""
-        k = self.wavenumbers
-        kh = np.arange(self.n // 2 + 1)
-        kx, ky, kz = np.meshgrid(k, k, kh, indexing="ij")
-        return np.stack([kx, ky, kz], axis=-1)
 
     def axes_points(self) -> np.ndarray:
         return np.arange(self.n) * (2.0 * np.pi / self.n)
@@ -226,10 +223,19 @@ def _leading_modes(modes: np.ndarray, key: np.ndarray, n_modes: Optional[int]) -
 class _TrigBasis:
     """A basis over a ``MODE_DTYPE`` array, whose columns it keeps contiguous.
 
-    Hot-path transforms run on the real half spectrum: each mode stores the
-    flat index of its representative entry (the one with nonnegative third
-    wavevector component) plus a conjugation flag, and modes whose third
-    component vanishes also scatter the in-plane mirror entry."""
+    Hot-path transforms run on the real half spectrum and touch only the
+    entries the modes reach, through two tables built once:
+
+    * the touched entries: each mode's representative entry (the one with
+      nonnegative third wavevector component, conjugated when it stores -k)
+      and, for modes whose third component vanishes, the in-plane mirror
+      entry -k, each with its wavevector.  The scatter accumulates there
+      and forms the derivative spectra there;
+    * the pairs: runs of consecutive modes with the same wavevector and
+      vector, i.e. the cosine and sine mode of one (wavevector, branch),
+      ordered by first mode.  Both read the same spectrum entry with the
+      same vector, so a gather contracts once per pair and each mode takes
+      the real or imaginary part of its pair's value."""
 
     def __init__(self, grid: SpectralGrid, modes: np.ndarray):
         self.grid = grid
@@ -242,36 +248,51 @@ class _TrigBasis:
         self.eigs = np.ascontiguousarray(modes["eig"])
         self.parity = np.ascontiguousarray(modes["parity"])
         self.is_const = (kv == 0).all(axis=1)
-        self._conj = kv[:, 2] < 0
-        rep = np.where(self._conj[:, None], -kv, kv)
-        self._half_flat = np.ravel_multi_index(
-            (rep[:, 0] % n, rep[:, 1] % n, rep[:, 2]), (n, n, nh)
-        )
+        conj = kv[:, 2] < 0
+        rep = np.where(conj[:, None], -kv, kv)
+        half_flat = np.ravel_multi_index((rep[:, 0] % n, rep[:, 1] % n, rep[:, 2]), (n, n, nh))
         self._plane = (kv[:, 2] == 0) & ~self.is_const
         mirror = -kv[self._plane]
         mirror_flat = np.ravel_multi_index(
             (mirror[:, 0] % n, mirror[:, 1] % n, mirror[:, 2]), (n, n, nh)
         )
+        touched = np.concatenate([half_flat, mirror_flat])
+        used = np.zeros(n * n * nh, dtype=bool)
+        used[touched] = True
+        self._entries = np.flatnonzero(used)
+        entry = (np.cumsum(used) - 1)[touched]
+        i, j, l = np.unravel_index(self._entries, (n, n, nh))
+        self._entry_k = np.stack([grid.wavenumbers[i], grid.wavenumbers[j], l], axis=-1)
         v = grid.volume
         # L^2-normalization: sqrt(2/V) for travelling modes, 1/sqrt(V) for
         # constants (directors only).
         self._scale = np.where(self.is_const, 1.0 / np.sqrt(v), np.sqrt(2.0 / v))
-        # The scatter fills the half spectrum viewed as float64: component c
-        # of entry f has its real part in slot 6 f + 2 c and its imaginary
+        # The scatter fills the touched entries viewed as float64: component
+        # c of entry e has its real part in slot 6 e + 2 c and its imaginary
         # part in the next.  A cos mode adds its weight to the real part; a
         # sin mode adds -1j times it, so -weight to the imaginary part, or
         # +weight where the entry holds the conjugate (stored -k, mirrors).
         self._half = np.where(self.is_const, 1.0, 0.5)[:, None]
         sin = self.parity != COS
-        self._sign = np.where(sin & ~self._conj, -1.0, 1.0)[:, None]
-        comp = 2 * np.arange(3)
-        self._slots = np.concatenate(
-            [
-                (6 * self._half_flat + sin)[:, None] + comp,
-                (6 * mirror_flat + sin[self._plane])[:, None] + comp,
-            ]
+        self._sign = np.where(sin & ~conj, -1.0, 1.0)[:, None]
+        self._slots = (
+            (6 * entry + np.concatenate([sin, sin[self._plane]]))[:, None] + 2 * np.arange(3)
         ).astype(np.int32).ravel()
-        self._spec_len = 6 * n * n * nh
+        # A pair starts wherever the wavevector (its signed entry index) or
+        # the vector changes from the previous mode.
+        signed = np.where(conj, -1 - half_flat, half_flat)
+        new_vec = self.vecs[1:] != self.vecs[:-1]
+        new_pair = np.ones(self.size, dtype=bool)
+        new_pair[1:] = (signed[1:] != signed[:-1]) | new_vec[:, 0] | new_vec[:, 1] | new_vec[:, 2]
+        first = np.flatnonzero(new_pair)
+        # Mode i of pair p reads entry 2 p + parity of the per-pair
+        # (real part, imaginary part) values, flattened.
+        self._part = (2 * (np.cumsum(new_pair) - 1) + sin).astype(np.int32)
+        self._pair_flat = half_flat[first]
+        self._pair_k = kv[first].astype(np.int32)  # int32 keeps the table small
+        self._pair_vecs = self.vecs[first]
+        self._pair_conj = conj[first]
+        self._pair_const = self.is_const[first]
 
     @property
     def k_max(self) -> int:
@@ -286,14 +307,31 @@ class _TrigBasis:
         if coefs.shape != (self.size,):
             raise ValueError(f"expected {self.size} coefficients, got {coefs.shape}")
 
-    def synthesize_spec_half(self, coefs: np.ndarray) -> np.ndarray:
-        """Half-spectrum array (n, n, n/2+1, 3) of the coefficient state."""
+    def synthesize_spec_half(self, coefs: np.ndarray, derivatives: int = 0) -> np.ndarray:
+        """Half-spectrum array (n, n, n/2+1, C) of the coefficient state: its
+        3 components, then with ``derivatives`` >= 1 the 9 of its gradient
+        (component 3 + 3 i + a holds d_a f_i) and with 2 the 27 of its
+        second gradient (component 12 + 9 i + 3 a + b holds d_a d_b f_i)."""
         self._check_coefs(coefs)
         n = self.grid.n
-        w = ((coefs * self._scale)[:, None] * self.vecs) * self._half
-        weights = np.concatenate([(w * self._sign).ravel(), w[self._plane].ravel()])
-        spec = np.bincount(self._slots, weights, minlength=self._spec_len)
-        return spec.view(complex).reshape(n, n, n // 2 + 1, 3)
+        w = (coefs * self._scale)[:, None] * self.vecs
+        w *= self._half
+        weights = np.empty(len(self._slots))
+        np.multiply(w, self._sign, out=weights[: w.size].reshape(w.shape))
+        np.compress(self._plane, w, axis=0, out=weights[w.size :].reshape(-1, 3))
+        s = np.bincount(self._slots, weights, minlength=6 * len(self._entries))
+        s = s.view(complex).reshape(-1, 3)
+        touched, k = s, self._entry_k
+        if derivatives:
+            touched = np.empty((len(s), (3, 12, 39)[derivatives]), complex)
+            touched[:, :3] = s
+            np.multiply(s[:, :, None], (1j * k)[:, None, :], out=touched[:, 3:12].reshape(-1, 3, 3))
+        if derivatives > 1:
+            kk = -k[:, None, :, None] * k[:, None, None, :]
+            np.multiply(s[:, :, None, None], kk, out=touched[:, 12:].reshape(-1, 3, 3, 3))
+        spec = np.zeros((n * n * (n // 2 + 1), touched.shape[1]), complex)
+        spec[self._entries] = touched
+        return spec.reshape(n, n, n // 2 + 1, -1)
 
     def synthesize(self, coefs: np.ndarray) -> np.ndarray:
         return self.grid.irfft(self.synthesize_spec_half(coefs))
@@ -305,42 +343,45 @@ class _TrigBasis:
         hess[..., i, a, b] = d_a d_b f_i (hess is None unless requested).
         One fused inverse transform covers all requested components.
         """
-        grid = self.grid
-        n = grid.n
-        spec = self.synthesize_spec_half(coefs)
-        km = grid.k_mesh_half
-        grad_spec = spec[..., :, None] * (1j * km)[..., None, :]
-        parts = [spec, grad_spec.reshape(*spec.shape[:3], 9)]
-        if hessian:
-            kk = -km[..., None, :, None] * km[..., None, None, :]
-            parts.append((spec[..., :, None, None] * kk).reshape(*spec.shape[:3], 27))
-        out = grid.irfft(np.concatenate(parts, axis=-1))
+        n = self.grid.n
+        out = self.grid.irfft(self.synthesize_spec_half(coefs, 2 if hessian else 1))
         value = out[..., :3]
         grad = out[..., 3:12].reshape(n, n, n, 3, 3)
         hess = out[..., 12:].reshape(n, n, n, 3, 3, 3) if hessian else None
         return value, grad, hess
 
+    @staticmethod
+    def _scaled_parts(z: np.ndarray, real_scale, imag_scale) -> np.ndarray:
+        """The pair values z as (P, 2) rows (real part * real_scale, imaginary
+        part * imag_scale), scaled in place."""
+        parts = z.view(float).reshape(-1, 2)
+        parts[:, 0] *= real_scale
+        parts[:, 1] *= imag_scale
+        return parts
+
     def analyze_spec_half(self, spec_half_flat: np.ndarray) -> np.ndarray:
         """Coefficients from an already-transformed (n^2 (n/2+1), 3) array."""
-        z = np.einsum("mc,mc->m", self.vecs, spec_half_flat[self._half_flat])
-        zr = z.real
-        zi = np.where(self._conj, -z.imag, z.imag)
+        z = np.einsum("pc,pc->p", self._pair_vecs, spec_half_flat[self._pair_flat])
         v = self.grid.volume
-        coefs = np.where(self.parity == COS, np.sqrt(2.0 * v) * zr, -np.sqrt(2.0 * v) * zi)
-        return np.where(self.is_const, np.sqrt(v) * zr, coefs)
+        root = np.sqrt(2.0 * v)
+        # cos: root Re z (sqrt(V) Re z for a constant); sin: -root Im z, of
+        # the conjugate where the entry stores -k.
+        real_scale = np.where(self._pair_const, np.sqrt(v), root)
+        parts = self._scaled_parts(z, real_scale, np.where(self._pair_conj, root, -root))
+        return np.take(parts, self._part)
 
     def project_stress_spec_half(self, spec_half_flat: np.ndarray) -> np.ndarray:
         """Pairings (T : grad w_i) from a transformed (n^2 (n/2+1), 3, 3) array.
 
         Constant modes have zero gradient and get zero pairings.
         """
-        z = np.einsum(
-            "mi,mj,mij->m", self.vecs, self.kvecs.astype(float), spec_half_flat[self._half_flat]
-        )
-        zr = z.real
-        zi = np.where(self._conj, -z.imag, z.imag)
+        k = self._pair_k.astype(float)
+        z = np.einsum("pi,pj,pij->p", self._pair_vecs, k, spec_half_flat[self._pair_flat])
         root = np.sqrt(2.0 * self.grid.volume)
-        return np.where(self.parity == COS, root * zi, root * zr)
+        # cos: root Im z (of the conjugate where the entry stores -k); sin:
+        # root Re z.  So a cos mode reads the imaginary part, a sin mode the real.
+        parts = self._scaled_parts(z, root, np.where(self._pair_conj, -root, root))
+        return np.take(parts, self._part ^ 1)
 
     def analyze(self, field: np.ndarray) -> np.ndarray:
         """Grid-quadrature L^2 inner products with every retained mode."""

@@ -150,6 +150,16 @@ def _norm2(a, axes):
     return np.sum(a * a, axis=axes)
 
 
+def _well(w, m):
+    """The quartic unit-length well w (m - 1)^2 at m = |h|^2."""
+    return w * (m - 1.0) ** 2
+
+
+def _well_slope(w, m):
+    """4 w (m - 1): the well's h-gradient is this times h."""
+    return 4.0 * w * (m - 1.0)
+
+
 class GinzburgLandau(FreeEnergyModel):
     """Gradient energy with quartic unit-length well, F = |S|^2/2 + w (|h|^2-1)^2."""
 
@@ -162,12 +172,10 @@ class GinzburgLandau(FreeEnergyModel):
         self.penalty_weight = 1.0 / (4.0 * eps * eps) if penalty else 0.0
 
     def evaluate(self, h, s):
-        m = _norm2(h, -1)
-        return 0.5 * _norm2(s, (-2, -1)) + self.penalty_weight * (m - 1.0) ** 2
+        return 0.5 * _norm2(s, (-2, -1)) + _well(self.penalty_weight, _norm2(h, -1))
 
     def dF_dh(self, h, s):
-        m = _norm2(h, -1)
-        return 4.0 * self.penalty_weight * (m - 1.0)[..., None] * h
+        return _well_slope(self.penalty_weight, _norm2(h, -1))[..., None] * h
 
     def d2F_dS2_const(self):
         return identity_4()
@@ -330,12 +338,10 @@ class SimplifiedOseenFrank(FreeEnergyModel):
 
     def evaluate(self, h, s):
         quad = 0.5 * frob(s, contract42(self._lam, s))
-        m = _norm2(h, -1)
-        return quad + self.penalty_weight * (m - 1.0) ** 2
+        return quad + _well(self.penalty_weight, _norm2(h, -1))
 
     def dF_dh(self, h, s):
-        m = _norm2(h, -1)
-        return 4.0 * self.penalty_weight * (m - 1.0)[..., None] * h
+        return _well_slope(self.penalty_weight, _norm2(h, -1))[..., None] * h
 
     def d2F_dS2_const(self):
         return self._lam.copy()
@@ -400,7 +406,7 @@ class ScaledOseenFrank(FreeEnergyModel):
     def evaluate(self, h, s):
         _, m, _, _, phi, psi, _, g = self._parts(h, s)
         quad = 0.5 * frob(s, contract42(self._lam, s))
-        return quad + phi * psi * g + self.penalty_weight * (m - 1.0) ** 2
+        return quad + phi * psi * g + _well(self.penalty_weight, m)
 
     def remainder_gradients(self, h, s):
         """(dF_dh, R) in one pass over shared parts, never forming Lam : S.
@@ -418,7 +424,7 @@ class ScaledOseenFrank(FreeEnergyModel):
         p = phi * psi
         pu = ((self.k3 - self.k4) * p * u)[..., None]
         pm = (self.k4 * p * m)[..., None]
-        dh = pu * c + (p * (k4_wc - 2.0 * psi * g) + 4.0 * self.penalty_weight * (m - 1.0))[..., None] * h
+        dh = pu * c + (p * (k4_wc - 2.0 * psi * g) + _well_slope(self.penalty_weight, m))[..., None] * h
         a = pu * h + pm * c
         rem = (-2.0 * self.s * p * g / base)[..., None, None] * s
         # [a] is the adjoint of curl_from_gradient: curl_i = S_kj - S_jk over

@@ -3,10 +3,14 @@
 The solver works on real-transform half spectra only; the first helpers
 apply derivatives through the full ``scipy.fft.fftn`` spectrum instead, so
 the tests can check the Galerkin bases against an independent path.  The
-next ones pair every term on the grid, the principal parts included, which
+next ones move coefficients to and from the half spectrum the long way: the
+derivative spectra formed over the whole half-spectrum mesh, and one
+contraction per mode rather than per (wavevector, branch) pair.  The next
+ones pair every term on the grid, the principal parts included, which
 the solver applies as eigenbasis diagonals.  The last ones are the other
-two forms of the Leslie stress, the elastic-stress pairing, and a centered
-difference of the energy functional against the solver's q_hat.
+two forms of the Leslie stress, a complex-step derivative of the energy
+density, the elastic-stress pairing, and a centered difference of the
+energy functional against the solver's q_hat.
 """
 
 import numpy as np
@@ -74,6 +78,64 @@ def manifest(basis):
             f"eig={eig:.12e}  parity={par}  vec=[{vec}]"
         )
     return "\n".join(lines) + "\n"
+
+
+def k_mesh_half(grid):
+    """(n, n, n/2+1, 3) integer wavevector mesh of the real-transform half spectrum."""
+    k = grid.wavenumbers
+    kx, ky, kz = np.meshgrid(k, k, np.arange(grid.n // 2 + 1), indexing="ij")
+    return np.stack([kx, ky, kz], axis=-1)
+
+
+def full_mesh_derivatives(basis, coefs, hessian=False):
+    """``synthesize_with_derivatives`` with the gradient (and Hessian) spectra
+    multiplied out over the whole half-spectrum mesh and concatenated."""
+    grid = basis.grid
+    n = grid.n
+    spec = basis.synthesize_spec_half(coefs)
+    km = k_mesh_half(grid)
+    grad_spec = spec[..., :, None] * (1j * km)[..., None, :]
+    parts = [spec, grad_spec.reshape(*spec.shape[:3], 9)]
+    if hessian:
+        kk = -km[..., None, :, None] * km[..., None, None, :]
+        parts.append((spec[..., :, None, None] * kk).reshape(*spec.shape[:3], 27))
+    out = grid.irfft(np.concatenate(parts, axis=-1))
+    value = out[..., :3]
+    grad = out[..., 3:12].reshape(n, n, n, 3, 3)
+    hess = out[..., 12:].reshape(n, n, n, 3, 3, 3) if hessian else None
+    return value, grad, hess
+
+
+def _representatives(basis):
+    """Flat half-spectrum index of each mode's representative entry (third
+    wavevector component >= 0), and whether that entry stores -k."""
+    n = basis.grid.n
+    kv = basis.kvecs
+    conj = kv[:, 2] < 0
+    rep = np.where(conj[:, None], -kv, kv)
+    flat = np.ravel_multi_index((rep[:, 0] % n, rep[:, 1] % n, rep[:, 2]), (n, n, n // 2 + 1))
+    return flat, conj
+
+
+def per_mode_analyze(basis, spec_half_flat):
+    """``analyze_spec_half`` with one complex dot product per mode."""
+    flat, conj = _representatives(basis)
+    z = np.einsum("mc,mc->m", basis.vecs, spec_half_flat[flat])
+    zr = z.real
+    zi = np.where(conj, -z.imag, z.imag)
+    v = basis.grid.volume
+    coefs = np.where(basis.parity == COS, np.sqrt(2.0 * v) * zr, -np.sqrt(2.0 * v) * zi)
+    return np.where(basis.is_const, np.sqrt(v) * zr, coefs)
+
+
+def per_mode_stress(basis, spec_half_flat):
+    """``project_stress_spec_half`` with one contraction per mode."""
+    flat, conj = _representatives(basis)
+    z = np.einsum("mi,mj,mij->m", basis.vecs, basis.kvecs.astype(float), spec_half_flat[flat])
+    zr = z.real
+    zi = np.where(conj, -z.imag, z.imag)
+    root = np.sqrt(2.0 * basis.grid.volume)
+    return np.where(basis.parity == COS, root * zi, root * zr)
 
 
 def weak_form_q_hat(model, basis, coefs):
@@ -168,6 +230,24 @@ def leslie_stress_original(c, d, e, grad_v):
         + c.mu5 * outer(svd, d)
         + c.mu6 * outer(d, svd)
     )
+
+
+def complex_step_gradients(model, h, s, eps=1e-30):
+    """(dF_dh, dF_dS) of ``model.evaluate`` by the complex step
+    Im F(x + i eps e) / eps in each entry e of h and of S, which has no
+    cancellation error; it needs ``evaluate`` to be complex-analytic."""
+    dh = np.empty(np.shape(h))
+    for i in range(3):
+        e = np.zeros(3, dtype=complex)
+        e[i] = 1j * eps
+        dh[..., i] = model.evaluate(h + e, s).imag / eps
+    ds = np.empty(np.shape(s))
+    for a in range(3):
+        for b in range(3):
+            e = np.zeros((3, 3), dtype=complex)
+            e[a, b] = 1j * eps
+            ds[..., a, b] = model.evaluate(h, s + e).imag / eps
+    return dh, ds
 
 
 def ericksen_pairing(model, d, grad_d, grad_v, cell_volume):

@@ -14,7 +14,17 @@ from elgal.basis import (
 )
 from elgal.energies import ScaledOseenFrank, SimplifiedOseenFrank
 from elgal.tensors import identity_4
-from oracles import divergence_of, elliptic_apply, fft, gradient_of, laplacian_of, manifest
+from oracles import (
+    divergence_of,
+    elliptic_apply,
+    fft,
+    full_mesh_derivatives,
+    gradient_of,
+    laplacian_of,
+    manifest,
+    per_mode_analyze,
+    per_mode_stress,
+)
 
 SOF_LAM = SimplifiedOseenFrank(2.0, 1.0, 0.5, eps=None).d2F_dS2_const()
 
@@ -277,6 +287,64 @@ class TestScatter:
             oracle = add_at_scatter(basis, coefs)
             assert spec.shape == oracle.shape and spec.dtype == oracle.dtype
             assert spec.tobytes() == oracle.tobytes()
+
+
+def _touched_basis(kind, n, n_modes, rehomed):
+    """A basis for the touched-entry and pair tests, optionally built on the
+    n grid and re-homed onto a finer one."""
+    grid = SpectralGrid(n)
+    if kind == "director":
+        basis = build_director_basis(SOF_LAM, grid, n_modes)
+    else:
+        basis = build_velocity_basis(grid, n_modes)
+    return basis.on_grid(SpectralGrid(n + 8)) if rehomed else basis
+
+
+def assert_bytes_equal(got, want):
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+class TestTouchedEntries:
+    @pytest.mark.parametrize("rehomed", [False, True])
+    @pytest.mark.parametrize("n", [8, 16])
+    @pytest.mark.parametrize("n_modes", [None, 57])
+    @pytest.mark.parametrize("kind", ["director", "velocity"])
+    def test_derivatives_byte_equal_to_full_mesh_oracle(self, kind, n_modes, n, rehomed, rng):
+        basis = _touched_basis(kind, n, n_modes, rehomed)
+        for coefs in (rng.standard_normal(basis.size), np.zeros(basis.size)):
+            for hessian in (False, True):
+                got = basis.synthesize_with_derivatives(coefs, hessian=hessian)
+                want = full_mesh_derivatives(basis, coefs, hessian=hessian)
+                for g, w in zip(got[:2], want[:2]):
+                    assert_bytes_equal(g, w)
+                if hessian:
+                    assert_bytes_equal(got[2], want[2])
+                else:
+                    assert got[2] is None and want[2] is None
+
+    @pytest.mark.parametrize("rehomed", [False, True])
+    @pytest.mark.parametrize("n", [8, 16])
+    @pytest.mark.parametrize("n_modes", [None, 57])
+    @pytest.mark.parametrize("kind", ["director", "velocity"])
+    def test_gathers_byte_equal_to_per_mode_oracle(self, kind, n_modes, n, rehomed, rng):
+        basis = _touched_basis(kind, n, n_modes, rehomed)
+        if n_modes == 57 and kind == "velocity":
+            # An odd count of travelling modes: the last pair lost its sin mode.
+            assert basis.parity[-1] == COS and not np.array_equal(basis.kvecs[-1], basis.kvecs[-2])
+        m = basis.grid.n
+        vec = basis.grid.rfft(rng.standard_normal((m, m, m, 3))).reshape(-1, 3)
+        mat = basis.grid.rfft(rng.standard_normal((m, m, m, 9))).reshape(-1, 3, 3)
+        # Column slices of one bundle spectrum, as the right-hand side passes them.
+        bundle = basis.grid.rfft(rng.standard_normal((m, m, m, 15))).reshape(-1, 15)
+        cases = (
+            (vec, mat),
+            (bundle[:, 3:6], bundle[:, 6:15].reshape(-1, 3, 3)),
+            (np.zeros_like(vec), np.zeros_like(mat)),
+        )
+        for spec, stress in cases:
+            assert_bytes_equal(basis.analyze_spec_half(spec), per_mode_analyze(basis, spec))
+            assert_bytes_equal(basis.project_stress_spec_half(stress), per_mode_stress(basis, stress))
 
 
 def _reference_sign_fix(v):
