@@ -18,9 +18,9 @@ Coefficient vectors are real; ``analyze`` is the grid-quadrature L^2
 projection onto the retained span and ``synthesize`` its right inverse.
 Both move coefficients through only the half-spectrum entries the modes
 touch (see ``_TrigBasis``): the scatter accumulates on a compact table of
-those entries and forms the gradient and Hessian spectra there, and the
-gathers contract once per retained (wavevector, branch) pair, whose cosine
-and sine modes take the real and imaginary part of the same value.
+those entries and forms the gradient spectra there, and the gathers
+contract once per retained (wavevector, branch) pair, whose cosine and sine
+modes take the real and imaginary part of the same value.
 
 Quadrature exactness and the transform grid
 -------------------------------------------
@@ -93,9 +93,6 @@ class SpectralGrid:
     def wavenumbers(self) -> np.ndarray:
         return np.fft.fftfreq(self.n, 1.0 / self.n).astype(np.int64)
 
-    def axes_points(self) -> np.ndarray:
-        return np.arange(self.n) * (2.0 * np.pi / self.n)
-
     def rfft(self, field: np.ndarray) -> np.ndarray:
         """Half-spectrum transform of a real field (same normalization)."""
         return _fft.rfftn(field, axes=(0, 1, 2), norm="forward")
@@ -106,9 +103,6 @@ class SpectralGrid:
     def quad(self, scalar_field: np.ndarray) -> float:
         """Grid quadrature of a scalar field over the box."""
         return float(np.sum(scalar_field) * self.cell_volume)
-
-    def l2_norm(self, field: np.ndarray) -> float:
-        return float(np.sqrt(np.sum(field * field) * self.cell_volume))
 
 
 def transform_grid_size(n: int, k_max: int, degree: int | None) -> int:
@@ -230,7 +224,7 @@ class _TrigBasis:
       nonnegative third wavevector component, conjugated when it stores -k)
       and, for modes whose third component vanishes, the in-plane mirror
       entry -k, each with its wavevector.  The scatter accumulates there
-      and forms the derivative spectra there;
+      and forms the gradient spectra there;
     * the pairs: runs of consecutive modes with the same wavevector and
       vector, i.e. the cosine and sine mode of one (wavevector, branch),
       ordered by first mode.  Both read the same spectrum entry with the
@@ -307,11 +301,12 @@ class _TrigBasis:
         if coefs.shape != (self.size,):
             raise ValueError(f"expected {self.size} coefficients, got {coefs.shape}")
 
-    def synthesize_spec_half(self, coefs: np.ndarray, derivatives: int = 0) -> np.ndarray:
+    def synthesize_spec_half(self, coefs: np.ndarray, gradient: bool = False) -> np.ndarray:
         """Half-spectrum array (n, n, n/2+1, C) of the coefficient state: its
-        3 components, then with ``derivatives`` >= 1 the 9 of its gradient
-        (component 3 + 3 i + a holds d_a f_i) and with 2 the 27 of its
-        second gradient (component 12 + 9 i + 3 a + b holds d_a d_b f_i)."""
+        3 components, then with ``gradient`` the 9 of its gradient
+        (component 3 + 3 i + a holds d_a f_i).  The director equation pairs
+        with each mode's value and gradient only, so no higher derivative
+        is ever formed."""
         self._check_coefs(coefs)
         n = self.grid.n
         w = (coefs * self._scale)[:, None] * self.vecs
@@ -321,14 +316,12 @@ class _TrigBasis:
         np.compress(self._plane, w, axis=0, out=weights[w.size :].reshape(-1, 3))
         s = np.bincount(self._slots, weights, minlength=6 * len(self._entries))
         s = s.view(complex).reshape(-1, 3)
-        touched, k = s, self._entry_k
-        if derivatives:
-            touched = np.empty((len(s), (3, 12, 39)[derivatives]), complex)
+        touched = s
+        if gradient:
+            touched = np.empty((len(s), 12), complex)
             touched[:, :3] = s
-            np.multiply(s[:, :, None], (1j * k)[:, None, :], out=touched[:, 3:12].reshape(-1, 3, 3))
-        if derivatives > 1:
-            kk = -k[:, None, :, None] * k[:, None, None, :]
-            np.multiply(s[:, :, None, None], kk, out=touched[:, 12:].reshape(-1, 3, 3, 3))
+            ik = 1j * self._entry_k
+            np.multiply(s[:, :, None], ik[:, None, :], out=touched[:, 3:].reshape(-1, 3, 3))
         spec = np.zeros((n * n * (n // 2 + 1), touched.shape[1]), complex)
         spec[self._entries] = touched
         return spec.reshape(n, n, n // 2 + 1, -1)
@@ -336,19 +329,12 @@ class _TrigBasis:
     def synthesize(self, coefs: np.ndarray) -> np.ndarray:
         return self.grid.irfft(self.synthesize_spec_half(coefs))
 
-    def synthesize_with_derivatives(self, coefs: np.ndarray, hessian: bool = False):
-        """Grid value, gradient (and optionally second gradient) of a state.
-
-        Returns (value, grad, hess) with grad[..., i, a] = d_a f_i and
-        hess[..., i, a, b] = d_a d_b f_i (hess is None unless requested).
-        One fused inverse transform covers all requested components.
-        """
+    def synthesize_with_derivatives(self, coefs: np.ndarray):
+        """Grid value and gradient of a state, (value, grad) with
+        grad[..., i, a] = d_a f_i, from one fused inverse transform."""
         n = self.grid.n
-        out = self.grid.irfft(self.synthesize_spec_half(coefs, 2 if hessian else 1))
-        value = out[..., :3]
-        grad = out[..., 3:12].reshape(n, n, n, 3, 3)
-        hess = out[..., 12:].reshape(n, n, n, 3, 3, 3) if hessian else None
-        return value, grad, hess
+        out = self.grid.irfft(self.synthesize_spec_half(coefs, gradient=True))
+        return out[..., :3], out[..., 3:].reshape(n, n, n, 3, 3)
 
     @staticmethod
     def _scaled_parts(z: np.ndarray, real_scale, imag_scale) -> np.ndarray:

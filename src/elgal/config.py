@@ -147,14 +147,12 @@ def _render(v):
 
 
 def _build_base_model(kind: str, p: dict) -> FreeEnergyModel:
-    eps = p.get("eps", 1.0)
-    penalty = p.get("penalty", True)
+    eps = p.get("eps", 1.0) if p.get("penalty", True) else None
     if kind == "ginzburg_landau":
-        return GinzburgLandau(eps=eps, penalty=penalty)
-    eps_or_none = eps if penalty else None
+        return GinzburgLandau(eps=eps)
     if kind == "simplified_oseen_frank":
-        return SimplifiedOseenFrank(p["k1"], p["k2"], p["alpha"], eps=eps_or_none)
-    return ScaledOseenFrank(p["k1"], p["k2"], p["k3"], p["k4"], p["s"], eps=eps_or_none)
+        return SimplifiedOseenFrank(p["k1"], p["k2"], p["alpha"], eps=eps)
+    return ScaledOseenFrank(p["k1"], p["k2"], p["k3"], p["k4"], p["s"], eps=eps)
 
 
 def _velocity_capacity(n: int) -> int:
@@ -308,12 +306,7 @@ def parse_config(path: str) -> SimulationConfig:
             p["eps"] = msec.get_float("eps", 1.0, positive=True)
             p["penalty"] = msec.get_bool("penalty", True)
         for key in _MODEL_REQUIRED[kind]:
-            if key == "H":
-                p[key] = msec.get_vec3("H", required=True)
-            elif key == "b":
-                p[key] = msec.get_vec3("b", required=True)
-            else:
-                p[key] = msec.get_float(key, required=True)
+            p[key] = msec.get_float(key, required=True)
         for key in ("k1", "k2"):
             if key in p and p[key] <= 0:
                 raise ConfigError(f"key '{key}': must be positive, got {p[key]}")

@@ -10,10 +10,7 @@
 * a priori monitors (running suprema / time integrals);
 * empirical Gagliardo-Nirenberg-type interpolation testers in the
   convention ||d||_H1 := ||grad d||_L2 and ||d||_H2 := ||Delta d||_L2
-  (gradient norms vanish on constants, which is harmless for the ratios);
-* the elastic-stress cancellation identity
-  (T_E : grad v) = ((grad d)^T q, v) on the periodic box, valid for
-  potentials without explicit spatial dependence.
+  (gradient norms vanish on constants, which is harmless for the ratios).
 """
 
 from __future__ import annotations
@@ -24,8 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .energies import total_energy, variational_derivative
-from .leslie import ericksen_stress
+from .energies import total_energy
 
 LEDGER_COLUMNS = (
     "t",
@@ -112,12 +108,12 @@ def sym_grad_sq(velocity_basis, v_hat: np.ndarray) -> float:
     return 0.5 * float((v_hat * v_hat) @ velocity_basis.eigs)
 
 
-def energy_residual_series(records: list, slack: float = 0.0) -> tuple[np.ndarray, bool]:
+def energy_residual_series(records: list) -> tuple[np.ndarray, bool]:
     """Residuals of the energy balance along a trajectory, plus a verdict.
 
     Fills each record's ``residual`` in place using centered differences of
     kinetic + free (one-sided at the two ends).  The verdict is True when
-    the total energy is non-increasing within ``slack`` between records.
+    the total energy is non-increasing between records.
     """
     if len(records) < 3:
         raise ValueError("need at least three records for centered differences")
@@ -132,7 +128,7 @@ def energy_residual_series(records: list, slack: float = 0.0) -> tuple[np.ndarra
     )
     for r, res in zip(records, residuals):
         r.residual = float(res)
-    monotone = bool(np.all(np.diff(e) <= slack))
+    monotone = bool(np.all(np.diff(e) <= 0.0))
     return residuals, monotone
 
 
@@ -320,12 +316,7 @@ def test_velocity_interpolation(basis, trajectories, p, r) -> InequalityReport:
     for times, coefs in trajectories:
         times = np.asarray(times, dtype=float)
         coefs = np.asarray(coefs, dtype=float)
-        lp = np.array(
-            [
-                _lp_norm(grid, basis.synthesize_with_derivatives(c)[0], float(pf))
-                for c in coefs
-            ]
-        )
+        lp = np.array([_lp_norm(grid, basis.synthesize(c), float(pf)) for c in coefs])
         h1_sq = coefs**2 @ ksq
         l2 = np.sqrt(np.sum(coefs**2, axis=1))
         lhs = float(np.trapezoid(lp ** float(rf), times))
@@ -343,28 +334,3 @@ def test_velocity_interpolation(basis, trajectories, p, r) -> InequalityReport:
         n_trajectories=len(trajectories),
         passed=math.isfinite(worst),
     )
-
-
-# ---------------------------------------------------------------------------
-# Identity check
-
-
-def test_ericksen_identity(model, director_basis, velocity_basis, d_hat, v_hat) -> float:
-    """Relative residual of (T_E : grad v) = ((grad d)^T q, v) on the box.
-
-    Uses the unprojected variational derivative; with a solenoidal v both
-    pairings reduce to a divergence, so the quadrature residual vanishes up
-    to aliasing of the highest product harmonics.
-    """
-    grid = director_basis.grid
-    d, grad_d, hess_d = director_basis.synthesize_with_derivatives(d_hat, hessian=True)
-    v, grad_v, _ = velocity_basis.synthesize_with_derivatives(v_hat)
-    q = variational_derivative(model, d, grad_d, hess_d)
-    te_pair = ericksen_stress(model, d, grad_d) * grad_v
-    force = np.einsum("...ji,...j->...i", grad_d, q) * v
-    lhs = grid.quad(np.sum(te_pair, axis=(-2, -1)))
-    rhs = grid.quad(np.sum(force, axis=-1))
-    scale = grid.quad(np.abs(te_pair).sum(axis=(-2, -1))) + grid.quad(
-        np.abs(force).sum(axis=-1)
-    )
-    return abs(lhs - rhs) / max(scale, 1e-30)

@@ -20,7 +20,7 @@ All methods broadcast over leading axes so grid fields evaluate in one call.
 Built-in models
 ---------------
 GinzburgLandau(eps)
-    F = |S|^2 / 2 + (|h|^2 - 1)^2 / (4 eps^2); ``penalty=False`` drops the
+    F = |S|^2 / 2 + (|h|^2 - 1)^2 / (4 eps^2); ``eps=None`` drops the
     quartic well and leaves the plain gradient (Dirichlet) energy.
 WithField(base, field, chi_perp, chi_par)
     base - chi_perp |H|^2 - (chi_par - chi_perp) (h.H)^2 for a bounded,
@@ -165,11 +165,11 @@ class GinzburgLandau(FreeEnergyModel):
 
     degree = 4
 
-    def __init__(self, eps: float = 1.0, penalty: bool = True):
-        if eps <= 0:
+    def __init__(self, eps: float | None = 1.0):
+        if eps is not None and eps <= 0:
             raise ValueError("eps must be positive")
-        self.eps = float(eps)
-        self.penalty_weight = 1.0 / (4.0 * eps * eps) if penalty else 0.0
+        self.eps = eps if eps is None else float(eps)
+        self.penalty_weight = 1.0 / (4.0 * eps * eps) if eps is not None else 0.0
 
     def evaluate(self, h, s):
         return 0.5 * _norm2(s, (-2, -1)) + _well(self.penalty_weight, _norm2(h, -1))
@@ -537,7 +537,7 @@ def energy_gradient(model: FreeEnergyModel, basis, coefs):
         raise ValueError("director basis was not built from the model's d2F_dS2_const()")
     grid = basis.grid
     n = grid.n
-    d, grad_d, _ = basis.synthesize_with_derivatives(coefs)
+    d, grad_d = basis.synthesize_with_derivatives(coefs)
     q_hat = basis.eigs * coefs
     if not (model.has_theta or model.has_mixed):
         q_hat += basis.analyze_spec_half(grid.rfft(model.dF_dh(d, grad_d)).reshape(-1, 3))
@@ -556,8 +556,9 @@ def variational_derivative(model: FreeEnergyModel, d, grad_d, hess_d):
         - d2F_dSdh(d, S) : S^T,   with S = grad d.
 
     ``hess_d[..., i, a, b]`` holds the second partials of component i.  The
-    solver uses ``energy_gradient``; this form serves the Ericksen-identity
-    diagnostic and the tests as an oracle.
+    solver pairs dF_dS with grad z_i in weak form (``energy_gradient``) and
+    never forms a second derivative, so this is a test oracle.  It stays in
+    the package only because the benchmark's tracer wraps it by name.
     """
     if grad_d.shape != d.shape + (3,) or hess_d.shape != d.shape + (3, 3):
         raise ValueError("grid shape mismatch between d, grad_d, hess_d")

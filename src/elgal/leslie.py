@@ -183,8 +183,3 @@ def leslie_stress_discrete(c: LeslieCoefficients, d: Vec3, q: Vec3, grad_v: Mat3
     """
     sv = sym(grad_v)
     return c.mu4 * sv + coupling_stress(c, d, q, np.einsum("...ij,...j->...i", sv, d))
-
-
-def ericksen_stress(model, d: Vec3, grad_d: Mat3) -> Mat3:
-    """Elastic stress (grad d)^T dF_dS(d, grad d)."""
-    return np.einsum("...ki,...kj->...ij", grad_d, model.dF_dS(d, grad_d))

@@ -121,7 +121,7 @@ class GalerkinSystem:
     # -- field reconstruction ------------------------------------------------
     def velocity_fields(self, v_hat: np.ndarray, d: np.ndarray):
         """Velocity value and gradient, and Sv d and Wv d for the director field d."""
-        v, grad_v, _ = self.velocity_basis.synthesize_with_derivatives(v_hat)
+        v, grad_v = self.velocity_basis.synthesize_with_derivatives(v_hat)
         return (v, grad_v, *strain_rates(grad_v, d))
 
     def initial_projection(self, v0_field: np.ndarray, d0_field: np.ndarray) -> SpectralState:

@@ -17,18 +17,8 @@ Tensor3 = np.ndarray
 Tensor4 = np.ndarray
 
 
-def sym_skw(a: Mat3) -> tuple[Mat3, Mat3]:
-    """Split a matrix into its symmetric and skew-symmetric parts."""
-    at = np.matrix_transpose(a)
-    return 0.5 * (a + at), 0.5 * (a - at)
-
-
 def sym(a: Mat3) -> Mat3:
     return 0.5 * (a + np.matrix_transpose(a))
-
-
-def skw(a: Mat3) -> Mat3:
-    return 0.5 * (a - np.matrix_transpose(a))
 
 
 def outer(a: Vec3, b: Vec3) -> Mat3:
@@ -57,11 +47,6 @@ def contract43(g: Tensor4, t: Tensor3) -> Vec3:
 def contract32(t: Tensor3, a: Mat3) -> Vec3:
     """(T:A)_i = sum_jk T_ijk A_jk."""
     return np.einsum("...ijk,...jk->...i", t, a)
-
-
-def is_symmetric_pair(g: Tensor4) -> bool:
-    """Exact check of the pair symmetry G_ijkl = G_klij over all 81 entries."""
-    return bool(np.array_equal(g, np.swapaxes(np.swapaxes(g, 0, 2), 1, 3)))
 
 
 def _delta_tensor(pattern: str) -> Tensor4:

@@ -1,25 +1,48 @@
 """Reference operators for the tests.
 
-The solver works on real-transform half spectra only; the first helpers
-apply derivatives through the full ``scipy.fft.fftn`` spectrum instead, so
-the tests can check the Galerkin bases against an independent path.  The
-next ones move coefficients to and from the half spectrum the long way: the
-derivative spectra formed over the whole half-spectrum mesh, and one
-contraction per mode rather than per (wavevector, branch) pair.  The next
-ones pair every term on the grid, the principal parts included, which
-the solver applies as eigenbasis diagonals.  The last ones are the other
-two forms of the Leslie stress, a complex-step derivative of the energy
-density, the elastic-stress pairing, and a centered difference of the
-energy functional against the solver's q_hat.
+A few small tensor and grid helpers come first.  The solver works on
+real-transform half spectra only; the next helpers apply derivatives
+through the full ``scipy.fft.fftn`` spectrum instead, so the tests can
+check the Galerkin bases against an independent path.  The next ones move
+coefficients to and from the half spectrum the long way: the derivative
+spectra formed over the whole half-spectrum mesh (the only source of
+second derivatives), and one contraction per mode rather than per
+(wavevector, branch) pair.  The next ones pair every term on the grid, the
+principal parts included, which the solver applies as eigenbasis
+diagonals.  The last ones are the other two forms of the Leslie stress, a
+complex-step derivative of the energy density, the elastic stress with its
+pairing and the strong-form cancellation identity, and a centered
+difference of the energy functional against the solver's q_hat.
 """
 
 import numpy as np
 import scipy.fft
 
 from elgal.basis import COS
-from elgal.energies import energy_gradient, total_energy
-from elgal.leslie import ericksen_stress, leslie_stress_discrete
-from elgal.tensors import contract42, outer, sym, sym_skw
+from elgal.energies import energy_gradient, total_energy, variational_derivative
+from elgal.leslie import leslie_stress_discrete
+from elgal.tensors import contract42, outer, sym
+
+
+def sym_skw(a):
+    """Split a matrix into its symmetric and skew-symmetric parts."""
+    at = np.matrix_transpose(a)
+    return 0.5 * (a + at), 0.5 * (a - at)
+
+
+def is_symmetric_pair(g):
+    """Exact check of the pair symmetry G_ijkl = G_klij over all 81 entries."""
+    return bool(np.array_equal(g, np.swapaxes(np.swapaxes(g, 0, 2), 1, 3)))
+
+
+def axes_points(grid):
+    """The n grid coordinates along one axis of [0, 2pi)."""
+    return np.arange(grid.n) * (2.0 * np.pi / grid.n)
+
+
+def l2_norm(grid, field):
+    """L^2 norm of a grid field by quadrature."""
+    return float(np.sqrt(np.sum(field * field) * grid.cell_volume))
 
 
 def fft(field):
@@ -88,8 +111,11 @@ def k_mesh_half(grid):
 
 
 def full_mesh_derivatives(basis, coefs, hessian=False):
-    """``synthesize_with_derivatives`` with the gradient (and Hessian) spectra
-    multiplied out over the whole half-spectrum mesh and concatenated."""
+    """``synthesize_with_derivatives`` with the gradient spectra multiplied
+    out over the whole half-spectrum mesh and concatenated: (value, grad,
+    hess).  With ``hessian`` the second gradient comes from the same
+    transform, hess[..., i, a, b] = d_a d_b f_i; otherwise hess is None.
+    The solver never forms a second derivative; the strong-form tests do."""
     grid = basis.grid
     n = grid.n
     spec = basis.synthesize_spec_half(coefs)
@@ -143,7 +169,7 @@ def weak_form_q_hat(model, basis, coefs):
     transformed and gathered, the principal part Lam : S included."""
     grid = basis.grid
     n = grid.n
-    d, grad_d, _ = basis.synthesize_with_derivatives(coefs)
+    d, grad_d = basis.synthesize_with_derivatives(coefs)
     dh, ds = model.dF_dh(d, grad_d), model.dF_dS(d, grad_d)
     spec = grid.rfft(np.concatenate([dh, ds.reshape(n, n, n, 9)], axis=-1)).reshape(-1, 12)
     return basis.analyze_spec_half(spec[:, 0:3]) + basis.project_stress_spec_half(
@@ -158,10 +184,10 @@ def grid_assemble_rhs(system, state):
     grid = system.grid
     n = grid.n
     dirb, vel = system.director_basis, system.velocity_basis
-    d, grad_d, _ = dirb.synthesize_with_derivatives(state.d_hat)
+    d, grad_d = dirb.synthesize_with_derivatives(state.d_hat)
     q_hat = weak_form_q_hat(system.model, dirb, state.d_hat)
     q = dirb.synthesize(q_hat)
-    v, grad_v, _ = vel.synthesize_with_derivatives(state.v_hat)
+    v, grad_v = vel.synthesize_with_derivatives(state.v_hat)
     sv, wv = sym_skw(grad_v)
     transport = (
         np.einsum("...ia,...a->...i", grad_d, v)
@@ -186,7 +212,7 @@ def grid_assemble_rhs(system, state):
 
 def sym_grad_sq_quadrature(basis, v_hat):
     """||sym(grad v)||^2 by grid quadrature."""
-    _, grad_v, _ = basis.synthesize_with_derivatives(v_hat)
+    _, grad_v = basis.synthesize_with_derivatives(v_hat)
     sv = sym(grad_v)
     return basis.grid.quad(np.sum(sv * sv, axis=(-2, -1)))
 
@@ -250,10 +276,37 @@ def complex_step_gradients(model, h, s, eps=1e-30):
     return dh, ds
 
 
+def ericksen_stress(model, d, grad_d):
+    """Elastic stress (grad d)^T dF_dS(d, grad d)."""
+    return np.einsum("...ki,...kj->...ij", grad_d, model.dF_dS(d, grad_d))
+
+
 def ericksen_pairing(model, d, grad_d, grad_v, cell_volume):
     """Grid quadrature of (elastic stress) : grad v over the periodic box."""
     te = ericksen_stress(model, d, grad_d)
     return float(np.sum(te * grad_v) * cell_volume)
+
+
+def ericksen_identity_residual(model, director_basis, velocity_basis, d_hat, v_hat):
+    """Relative residual of (T_E : grad v) = ((grad d)^T q, v) on the box.
+
+    Uses the unprojected variational derivative; with a solenoidal v both
+    pairings reduce to a divergence, so the quadrature residual vanishes up
+    to aliasing of the highest product harmonics.  The identity holds for
+    potentials without explicit spatial dependence.
+    """
+    grid = director_basis.grid
+    d, grad_d, hess_d = full_mesh_derivatives(director_basis, d_hat, hessian=True)
+    v, grad_v = velocity_basis.synthesize_with_derivatives(v_hat)
+    q = variational_derivative(model, d, grad_d, hess_d)
+    te_pair = ericksen_stress(model, d, grad_d) * grad_v
+    force = np.einsum("...ji,...j->...i", grad_d, q) * v
+    lhs = grid.quad(np.sum(te_pair, axis=(-2, -1)))
+    rhs = grid.quad(np.sum(force, axis=-1))
+    scale = grid.quad(np.abs(te_pair).sum(axis=(-2, -1))) + grid.quad(
+        np.abs(force).sum(axis=-1)
+    )
+    return abs(lhs - rhs) / max(scale, 1e-30)
 
 
 def gateaux_check(model, basis, d_hat, psi_hat, eps=1e-5):
@@ -265,7 +318,7 @@ def gateaux_check(model, basis, d_hat, psi_hat, eps=1e-5):
     grid = basis.grid
 
     def energy(coefs):
-        val, grad, _ = basis.synthesize_with_derivatives(coefs)
+        val, grad = basis.synthesize_with_derivatives(coefs)
         return total_energy(model, val, grad, grid.cell_volume)
 
     e_plus = energy(d_hat + eps * psi_hat)

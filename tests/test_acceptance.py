@@ -18,7 +18,6 @@ from elgal.basis import (
     build_velocity_basis,
 )
 from elgal.diagnostics import energy_residual_series
-from elgal.diagnostics import test_ericksen_identity as ericksen_identity_residual
 from elgal.diagnostics import test_interpolation_inequality as interpolation_report
 from elgal.diagnostics import test_velocity_interpolation as velocity_interpolation_report
 from elgal.energies import (
@@ -37,7 +36,7 @@ from elgal.leslie import (
 from elgal.scenarios import _base_config, director_relaxation, gl_dissipation, stokes_decay
 from elgal.simulate import run
 from elgal.tensors import contract42, sym
-from oracles import gateaux_check, leslie_stress, leslie_stress_original
+from oracles import ericksen_identity_residual, gateaux_check, leslie_stress, leslie_stress_original
 
 
 def report(num: int, ok: bool, detail: str) -> None:

@@ -10,12 +10,11 @@ from elgal.tensors import (
     curl_from_gradient,
     frob,
     identity_4,
-    is_symmetric_pair,
     outer,
-    sym_skw,
     trace_outer_4,
     transpose_4,
 )
+from oracles import is_symmetric_pair, sym_skw
 
 finite = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
 mat3 = arrays(np.float64, (3, 3), elements=finite)
