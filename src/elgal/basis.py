@@ -16,11 +16,14 @@ Two orthonormal real bases, each one structured array of modes (``MODE_DTYPE``):
 
 Coefficient vectors are real; ``analyze`` is the grid-quadrature L^2
 projection onto the retained span and ``synthesize`` its right inverse.
-Both move coefficients through only the half-spectrum entries the modes
-touch (see ``_TrigBasis``): the scatter accumulates on a compact table of
-those entries and forms the gradient spectra there, and the gathers
-contract once per retained (wavevector, branch) pair, whose cosine and sine
-modes take the real and imaginary part of the same value.
+Both move coefficients through the grid's band spectrum, the half-spectrum
+entries with |k|_inf <= k_max, which holds every retained wavevector (see
+``SpectralGrid`` and ``_TrigBasis``): the scatter accumulates straight into
+the band and forms the gradient spectra there, and the gathers contract
+once per retained (wavevector, branch) pair, whose cosine and sine modes
+take the real and imaginary part of the same value.  Narrow bands go to and
+from the grid by per-axis DFT-matrix passes, wide ones by pocketfft on the
+zero-padded half spectrum; both give the same values in the same places.
 
 Quadrature exactness and the transform grid
 -------------------------------------------
@@ -66,13 +69,24 @@ from .tensors import Tensor4
 
 @dataclass(frozen=True)
 class SpectralGrid:
-    """Uniform n^3 grid on [0, 2pi)^3 with strict 2/3-rule mode cutoff."""
+    """Uniform n^3 grid on [0, 2pi)^3 whose spectra hold the band |k|_inf <= k_max.
+
+    A band spectrum is a (b, b, k_max+1, C) complex array, b = 2 k_max + 1,
+    holding the real-transform half spectrum's entries with |k_1|, |k_2|,
+    k_3 <= k_max; wavenumber k of the first two axes sits at index k mod b.
+    ``k_max`` defaults to the builders' ``cutoff``.  A band wider than the
+    grid would wrap onto itself and is refused."""
 
     n: int
+    k_max: Optional[int] = None
 
     def __post_init__(self):
         if self.n < 8 or self.n % 2 != 0:
             raise ValueError("grid resolution must be even and >= 8")
+        if self.k_max is None:
+            object.__setattr__(self, "k_max", self.cutoff)
+        if not 0 <= self.k_max <= (self.n - 1) // 2:
+            raise ValueError(f"band |k|_inf <= {self.k_max} does not fit the {self.n}^3 grid")
 
     @property
     def cutoff(self) -> int:
@@ -89,16 +103,99 @@ class SpectralGrid:
     def cell_volume(self) -> float:
         return (2.0 * np.pi / self.n) ** 3
 
+    @property
+    def band_shape(self) -> tuple[int, int, int]:
+        b = 2 * self.k_max + 1
+        return (b, b, self.k_max + 1)
+
     @cached_property
-    def wavenumbers(self) -> np.ndarray:
-        return np.fft.fftfreq(self.n, 1.0 / self.n).astype(np.int64)
+    def _band_k(self) -> np.ndarray:
+        """Wavenumber of each index along a full band axis, k mod b order."""
+        b = 2 * self.k_max + 1
+        return np.fft.fftfreq(b, 1.0 / b).astype(np.int64)
+
+    @cached_property
+    def band_wavevectors(self) -> np.ndarray:
+        """(b, b, k_max+1, 3) integer wavevector of each band entry."""
+        k = self._band_k
+        return np.stack(np.meshgrid(k, k, k[: self.k_max + 1], indexing="ij"), axis=-1)
+
+    @cached_property
+    def _by_matmul(self) -> bool:
+        # Narrow bands take the DFT-matrix passes, wide ones pocketfft.  The
+        # passes spend about 2 b n^3 C multiply-adds on their x pass, against
+        # pocketfft's O(n^3 C log n) and a fixed overhead.  Medians of 300
+        # interleaved calls (150 at n = 32), one thread, 2-core x86-64, in us,
+        # pocketfft -> passes, for a 15-component rfft and a 12-component irfft:
+        #   (n, k_max) = (8, 2):  84 -> 31,  74 -> 30
+        #                (16, 1): 770 -> 94,  798 -> 92
+        #                (16, 4): 636 -> 321,  521 -> 234
+        #                (16, 5): 731 -> 918,  1,086 -> 523
+        #                (32, 9): 6,114 -> 6,865,  6,157 -> 4,182
+        # The forward passes lose once 4 k_max > n; the inverse ones won on
+        # every band measured.  (32, 10), the full N = 32 bases, read 6,248
+        # -> 4,661 and 5,273 -> 3,432 in the same session, yet stays on
+        # pocketfft by this rule, so those runs keep their ledgers bit for bit.
+        return 4 * self.k_max <= self.n
+
+    @cached_property
+    def _passes(self):
+        """Per-axis DFT matrices of the band transforms.
+
+        The x pass is one real GEMM against an (n, 2b) matrix whose columns
+        interleave cos(k x) and -sin(k x), so its product is the complex
+        (.., b) array viewed as float; the other passes are complex.  The
+        inverse half-axis matrix weighs k_3 > 0 by 2, so the real part of
+        the synthesis is irfftn's."""
+        n = self.n
+        b, _, h = self.band_shape
+        # The exact phase index k x mod n keeps every angle in [0, 2pi).
+        e = np.exp((2j * np.pi / n) * ((np.arange(n)[:, None] * self._band_k) % n))
+        cos_sin = np.stack([e.real, -e.imag], axis=-1).reshape(n, 2 * b)
+        weight = np.where(np.arange(h) == 0, 1.0, 2.0)
+        forward = (cos_sin / n**3, e.conj().T.copy(), e[:, :h].conj().T.copy())
+        inverse = (e[:, :h] * weight, e, cos_sin)
+        return forward, inverse
+
+    @cached_property
+    def _band_index(self):
+        rows = np.r_[0 : self.k_max + 1, self.n - self.k_max : self.n]
+        return np.ix_(rows, rows, np.arange(self.k_max + 1))
 
     def rfft(self, field: np.ndarray) -> np.ndarray:
-        """Half-spectrum transform of a real field (same normalization)."""
-        return _fft.rfftn(field, axes=(0, 1, 2), norm="forward")
+        """Band spectrum of a real field (n, n, n, ...), normalized so that
+        field(x) = sum_k spec(k) e^{i k.x} for a field on the band."""
+        n = self.n
+        if field.shape[:3] != (n, n, n):
+            raise ValueError(f"expected a field on the {n}^3 grid, got shape {field.shape}")
+        if not self._by_matmul:
+            return _fft.rfftn(field, axes=(0, 1, 2), norm="forward")[self._band_index]
+        b, _, h = self.band_shape
+        fx, fy, fz = self._passes[0]
+        p = (field.reshape(n, -1).T @ fx).view(complex)  # (y, z, c, kx)
+        p = fy @ p.reshape(n, -1)  # (ky, z, c, kx)
+        p = fz @ p.reshape(b, n, -1)  # (ky, k3, c, kx)
+        p = p.reshape(b, h, -1, b).transpose(3, 0, 1, 2)
+        return np.ascontiguousarray(p).reshape(b, b, h, *field.shape[3:])
 
-    def irfft(self, spec_half: np.ndarray) -> np.ndarray:
-        return _fft.irfftn(spec_half, s=(self.n,) * 3, axes=(0, 1, 2), norm="forward")
+    def irfft(self, band: np.ndarray) -> np.ndarray:
+        """Real field (n, n, n, ...) of a band spectrum.  As in ``irfftn``,
+        only the real part of the k_3 = 0 plane's synthesis is kept."""
+        n = self.n
+        if band.shape[:3] != self.band_shape:
+            raise ValueError(f"expected a band spectrum {self.band_shape}, got shape {band.shape}")
+        tail = band.shape[3:]
+        if not self._by_matmul:
+            half = np.zeros((n, n, n // 2 + 1, *tail), complex)
+            half[self._band_index] = band
+            return _fft.irfftn(half, s=(n,) * 3, axes=(0, 1, 2), norm="forward")
+        b, _, h = self.band_shape
+        iz, iy, ix = self._passes[1]
+        p = band.reshape(b, b, h, -1).transpose(1, 2, 3, 0).reshape(b, h, -1)  # (ky, k3, c, kx)
+        p = iz @ p  # (ky, z, c, kx)
+        p = iy @ p.reshape(b, -1)  # (y, z, c, kx)
+        # (x, y, z, c) directly: the GEMM reads the (.., kx) parts transposed.
+        return (ix @ p.view(float).reshape(-1, 2 * b).T).reshape(n, n, n, *tail)
 
     def quad(self, scalar_field: np.ndarray) -> float:
         """Grid quadrature of a scalar field over the box."""
@@ -217,64 +314,62 @@ def _leading_modes(modes: np.ndarray, key: np.ndarray, n_modes: Optional[int]) -
 class _TrigBasis:
     """A basis over a ``MODE_DTYPE`` array, whose columns it keeps contiguous.
 
-    Hot-path transforms run on the real half spectrum and touch only the
-    entries the modes reach, through two tables built once:
+    Hot-path transforms run on the grid's band spectrum (see
+    ``SpectralGrid``), which holds every retained wavevector, through two
+    tables, built once, that index the band:
 
-    * the touched entries: each mode's representative entry (the one with
+    * the scatter slots: each mode's representative entry (the one with
       nonnegative third wavevector component, conjugated when it stores -k)
       and, for modes whose third component vanishes, the in-plane mirror
-      entry -k, each with its wavevector.  The scatter accumulates there
-      and forms the gradient spectra there;
+      entry -k.  The scatter accumulates there and forms the gradient
+      spectra over the whole band;
     * the pairs: runs of consecutive modes with the same wavevector and
       vector, i.e. the cosine and sine mode of one (wavevector, branch),
-      ordered by first mode.  Both read the same spectrum entry with the
-      same vector, so a gather contracts once per pair and each mode takes
-      the real or imaginary part of its pair's value."""
+      ordered by first mode.  Both read the same band entry with the same
+      vector, so a gather contracts once per pair and each mode takes the
+      real or imaginary part of its pair's value."""
 
     def __init__(self, grid: SpectralGrid, modes: np.ndarray):
         self.grid = grid
         self.modes = modes
-        n = grid.n
-        nh = n // 2 + 1
         self.size = len(modes)
         self.kvecs = kv = np.ascontiguousarray(modes["k"])
         self.vecs = np.ascontiguousarray(modes["vec"])
         self.eigs = np.ascontiguousarray(modes["eig"])
         self.parity = np.ascontiguousarray(modes["parity"])
+        if self.k_max > grid.k_max:
+            raise ValueError(
+                f"modes up to |k|_inf = {self.k_max} lie outside the grid's band {grid.k_max}"
+            )
         self.is_const = (kv == 0).all(axis=1)
+        shape = grid.band_shape
+        b = shape[0]
         conj = kv[:, 2] < 0
         rep = np.where(conj[:, None], -kv, kv)
-        half_flat = np.ravel_multi_index((rep[:, 0] % n, rep[:, 1] % n, rep[:, 2]), (n, n, nh))
+        rep_flat = np.ravel_multi_index((rep[:, 0] % b, rep[:, 1] % b, rep[:, 2]), shape)
         self._plane = (kv[:, 2] == 0) & ~self.is_const
         mirror = -kv[self._plane]
-        mirror_flat = np.ravel_multi_index(
-            (mirror[:, 0] % n, mirror[:, 1] % n, mirror[:, 2]), (n, n, nh)
-        )
-        touched = np.concatenate([half_flat, mirror_flat])
-        used = np.zeros(n * n * nh, dtype=bool)
-        used[touched] = True
-        self._entries = np.flatnonzero(used)
-        entry = (np.cumsum(used) - 1)[touched]
-        i, j, l = np.unravel_index(self._entries, (n, n, nh))
-        self._entry_k = np.stack([grid.wavenumbers[i], grid.wavenumbers[j], l], axis=-1)
+        mirror_flat = np.ravel_multi_index((mirror[:, 0] % b, mirror[:, 1] % b, mirror[:, 2]), shape)
+        self._band_size = b * b * shape[2]
         v = grid.volume
         # L^2-normalization: sqrt(2/V) for travelling modes, 1/sqrt(V) for
         # constants (directors only).
         self._scale = np.where(self.is_const, 1.0 / np.sqrt(v), np.sqrt(2.0 / v))
-        # The scatter fills the touched entries viewed as float64: component
-        # c of entry e has its real part in slot 6 e + 2 c and its imaginary
-        # part in the next.  A cos mode adds its weight to the real part; a
-        # sin mode adds -1j times it, so -weight to the imaginary part, or
-        # +weight where the entry holds the conjugate (stored -k, mirrors).
+        # The scatter fills the band viewed as float64: component c of entry
+        # e has its real part in slot 6 e + 2 c and its imaginary part in
+        # the next.  A cos mode adds its weight to the real part; a sin mode
+        # adds -1j times it, so -weight to the imaginary part, or +weight
+        # where the entry holds the conjugate (stored -k, mirrors).
         self._half = np.where(self.is_const, 1.0, 0.5)[:, None]
         sin = self.parity != COS
         self._sign = np.where(sin & ~conj, -1.0, 1.0)[:, None]
+        entry = np.concatenate([rep_flat, mirror_flat])
         self._slots = (
             (6 * entry + np.concatenate([sin, sin[self._plane]]))[:, None] + 2 * np.arange(3)
         ).astype(np.int32).ravel()
         # A pair starts wherever the wavevector (its signed entry index) or
         # the vector changes from the previous mode.
-        signed = np.where(conj, -1 - half_flat, half_flat)
+        signed = np.where(conj, -1 - rep_flat, rep_flat)
         new_vec = self.vecs[1:] != self.vecs[:-1]
         new_pair = np.ones(self.size, dtype=bool)
         new_pair[1:] = (signed[1:] != signed[:-1]) | new_vec[:, 0] | new_vec[:, 1] | new_vec[:, 2]
@@ -282,7 +377,7 @@ class _TrigBasis:
         # Mode i of pair p reads entry 2 p + parity of the per-pair
         # (real part, imaginary part) values, flattened.
         self._part = (2 * (np.cumsum(new_pair) - 1) + sin).astype(np.int32)
-        self._pair_flat = half_flat[first]
+        self._pair_flat = rep_flat[first]
         self._pair_k = kv[first].astype(np.int32)  # int32 keeps the table small
         self._pair_vecs = self.vecs[first]
         self._pair_conj = conj[first]
@@ -302,29 +397,26 @@ class _TrigBasis:
             raise ValueError(f"expected {self.size} coefficients, got {coefs.shape}")
 
     def synthesize_spec_half(self, coefs: np.ndarray, gradient: bool = False) -> np.ndarray:
-        """Half-spectrum array (n, n, n/2+1, C) of the coefficient state: its
-        3 components, then with ``gradient`` the 9 of its gradient
-        (component 3 + 3 i + a holds d_a f_i).  The director equation pairs
-        with each mode's value and gradient only, so no higher derivative
-        is ever formed."""
+        """Band spectrum (b, b, k_max+1, C) of the coefficient state: its 3
+        components, then with ``gradient`` the 9 of its gradient (component
+        3 + 3 i + a holds d_a f_i).  The director equation pairs with each
+        mode's value and gradient only, so no higher derivative is ever
+        formed."""
         self._check_coefs(coefs)
-        n = self.grid.n
         w = (coefs * self._scale)[:, None] * self.vecs
         w *= self._half
         weights = np.empty(len(self._slots))
         np.multiply(w, self._sign, out=weights[: w.size].reshape(w.shape))
         np.compress(self._plane, w, axis=0, out=weights[w.size :].reshape(-1, 3))
-        s = np.bincount(self._slots, weights, minlength=6 * len(self._entries))
+        s = np.bincount(self._slots, weights, minlength=6 * self._band_size)
         s = s.view(complex).reshape(-1, 3)
-        touched = s
         if gradient:
-            touched = np.empty((len(s), 12), complex)
-            touched[:, :3] = s
-            ik = 1j * self._entry_k
-            np.multiply(s[:, :, None], ik[:, None, :], out=touched[:, 3:].reshape(-1, 3, 3))
-        spec = np.zeros((n * n * (n // 2 + 1), touched.shape[1]), complex)
-        spec[self._entries] = touched
-        return spec.reshape(n, n, n // 2 + 1, -1)
+            spec = np.empty((len(s), 12), complex)
+            spec[:, :3] = s
+            ik = 1j * self.grid.band_wavevectors.reshape(-1, 3)
+            np.multiply(s[:, :, None], ik[:, None, :], out=spec[:, 3:].reshape(-1, 3, 3))
+            s = spec
+        return s.reshape(*self.grid.band_shape, -1)
 
     def synthesize(self, coefs: np.ndarray) -> np.ndarray:
         return self.grid.irfft(self.synthesize_spec_half(coefs))
@@ -345,9 +437,9 @@ class _TrigBasis:
         parts[:, 1] *= imag_scale
         return parts
 
-    def analyze_spec_half(self, spec_half_flat: np.ndarray) -> np.ndarray:
-        """Coefficients from an already-transformed (n^2 (n/2+1), 3) array."""
-        z = np.einsum("pc,pc->p", self._pair_vecs, spec_half_flat[self._pair_flat])
+    def analyze_spec_half(self, band_flat: np.ndarray) -> np.ndarray:
+        """Coefficients from an already-transformed band, flattened to (E, 3)."""
+        z = np.einsum("pc,pc->p", self._pair_vecs, band_flat[self._pair_flat])
         v = self.grid.volume
         root = np.sqrt(2.0 * v)
         # cos: root Re z (sqrt(V) Re z for a constant); sin: -root Im z, of
@@ -356,13 +448,13 @@ class _TrigBasis:
         parts = self._scaled_parts(z, real_scale, np.where(self._pair_conj, root, -root))
         return np.take(parts, self._part)
 
-    def project_stress_spec_half(self, spec_half_flat: np.ndarray) -> np.ndarray:
-        """Pairings (T : grad w_i) from a transformed (n^2 (n/2+1), 3, 3) array.
+    def project_stress_spec_half(self, band_flat: np.ndarray) -> np.ndarray:
+        """Pairings (T : grad w_i) from a transformed band, flattened to (E, 3, 3).
 
         Constant modes have zero gradient and get zero pairings.
         """
         k = self._pair_k.astype(float)
-        z = np.einsum("pi,pj,pij->p", self._pair_vecs, k, spec_half_flat[self._pair_flat])
+        z = np.einsum("pi,pj,pij->p", self._pair_vecs, k, band_flat[self._pair_flat])
         root = np.sqrt(2.0 * self.grid.volume)
         # cos: root Im z (of the conjugate where the entry stores -k); sin:
         # root Re z.  So a cos mode reads the imaginary part, a sin mode the real.

@@ -150,8 +150,9 @@ def _cmd_inequalities(args) -> int:
     d_traj = [(times, np.array([s.d_hat for s in result.states]))]
     v_traj = [(times, np.array([s.v_hat for s in result.states]))]
     # L^p norms are not polynomial, so they are sampled on the configured
-    # grid, not on the (possibly smaller) transform grid of the run.
-    grid = SpectralGrid(config.n)
+    # grid, with the run's band, not on the (possibly smaller) transform
+    # grid of the run.
+    grid = SpectralGrid(config.n, result.system.grid.k_max)
     director_basis = result.system.director_basis.on_grid(grid)
     velocity_basis = result.system.velocity_basis.on_grid(grid)
     ok = True

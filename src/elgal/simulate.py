@@ -231,7 +231,7 @@ def _project_sampled(basis, field: np.ndarray) -> np.ndarray:
             f"field of shape {field.shape} is too coarse for retained modes up to "
             f"|k|_inf = {basis.k_max}: sample it on at least {(m, m, m, 3)}"
         )
-    return basis.on_grid(SpectralGrid(n)).analyze(field)
+    return basis.on_grid(SpectralGrid(n, basis.k_max)).analyze(field)
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +309,8 @@ def build_system(config: SimulationConfig) -> GalerkinSystem:
     grid = SpectralGrid(config.n)
     vel = build_velocity_basis(grid, config.n_v)
     dirb = build_director_basis(model.d2F_dS2_const(), grid, config.n_d)
-    grid = SpectralGrid(transform_grid(config.n, model, vel, dirb).n_q)
+    tg = transform_grid(config.n, model, vel, dirb)
+    grid = SpectralGrid(tg.n_q, tg.k_max)
     vel, dirb = vel.on_grid(grid), dirb.on_grid(grid)
     forcing = _coefs_from_directive(config.forcing_velocity, vel, "velocity")
     return GalerkinSystem(model, coeffs, grid, vel, dirb, forcing_v_hat=forcing)

@@ -1,13 +1,13 @@
 """Reference operators for the tests.
 
 A few small tensor and grid helpers come first.  The solver works on
-real-transform half spectra only; the next helpers apply derivatives
-through the full ``scipy.fft.fftn`` spectrum instead, so the tests can
-check the Galerkin bases against an independent path.  The next ones move
-coefficients to and from the half spectrum the long way: the derivative
-spectra formed over the whole half-spectrum mesh (the only source of
-second derivatives), and one contraction per mode rather than per
-(wavevector, branch) pair.  The next ones pair every term on the grid, the
+band spectra only (the real-transform half spectrum cut to the retained
+band); the next helpers apply derivatives through the full
+``scipy.fft.fftn`` spectrum instead, so the tests can check the Galerkin
+bases against an independent path.  The next ones move coefficients to and
+from the band the long way: the derivative spectra formed over the whole
+band mesh (the only source of second derivatives), and one contraction per
+mode rather than per (wavevector, branch) pair.  The next ones pair every term on the grid, the
 principal parts included, which the solver applies as eigenbasis
 diagonals.  The last ones are the other two forms of the Leslie stress, a
 complex-step derivative of the energy density, the elastic stress with its
@@ -56,7 +56,7 @@ def ifft(spec):
 
 def k_mesh(grid):
     """(n, n, n, 3) integer wavevector mesh in FFT layout."""
-    k = grid.wavenumbers
+    k = np.fft.fftfreq(grid.n, 1.0 / grid.n).astype(np.int64)
     return np.stack(np.meshgrid(k, k, k, indexing="ij"), axis=-1)
 
 
@@ -103,23 +103,25 @@ def manifest(basis):
     return "\n".join(lines) + "\n"
 
 
-def k_mesh_half(grid):
-    """(n, n, n/2+1, 3) integer wavevector mesh of the real-transform half spectrum."""
-    k = grid.wavenumbers
-    kx, ky, kz = np.meshgrid(k, k, np.arange(grid.n // 2 + 1), indexing="ij")
+def k_mesh_band(grid):
+    """(b, b, k_max+1, 3) integer wavevector mesh of the band spectrum,
+    b = 2 k_max + 1, wavenumber k of the first two axes at index k mod b."""
+    b = 2 * grid.k_max + 1
+    k = np.array([i if i <= grid.k_max else i - b for i in range(b)])
+    kx, ky, kz = np.meshgrid(k, k, np.arange(grid.k_max + 1), indexing="ij")
     return np.stack([kx, ky, kz], axis=-1)
 
 
 def full_mesh_derivatives(basis, coefs, hessian=False):
     """``synthesize_with_derivatives`` with the gradient spectra multiplied
-    out over the whole half-spectrum mesh and concatenated: (value, grad,
+    out over the whole band mesh and concatenated: (value, grad,
     hess).  With ``hessian`` the second gradient comes from the same
     transform, hess[..., i, a, b] = d_a d_b f_i; otherwise hess is None.
     The solver never forms a second derivative; the strong-form tests do."""
     grid = basis.grid
     n = grid.n
     spec = basis.synthesize_spec_half(coefs)
-    km = k_mesh_half(grid)
+    km = k_mesh_band(grid)
     grad_spec = spec[..., :, None] * (1j * km)[..., None, :]
     parts = [spec, grad_spec.reshape(*spec.shape[:3], 9)]
     if hessian:
@@ -133,20 +135,21 @@ def full_mesh_derivatives(basis, coefs, hessian=False):
 
 
 def _representatives(basis):
-    """Flat half-spectrum index of each mode's representative entry (third
+    """Flat band index of each mode's representative entry (third
     wavevector component >= 0), and whether that entry stores -k."""
-    n = basis.grid.n
+    k_max = basis.grid.k_max
+    b = 2 * k_max + 1
     kv = basis.kvecs
     conj = kv[:, 2] < 0
     rep = np.where(conj[:, None], -kv, kv)
-    flat = np.ravel_multi_index((rep[:, 0] % n, rep[:, 1] % n, rep[:, 2]), (n, n, n // 2 + 1))
+    flat = np.ravel_multi_index((rep[:, 0] % b, rep[:, 1] % b, rep[:, 2]), (b, b, k_max + 1))
     return flat, conj
 
 
-def per_mode_analyze(basis, spec_half_flat):
+def per_mode_analyze(basis, band_flat):
     """``analyze_spec_half`` with one complex dot product per mode."""
     flat, conj = _representatives(basis)
-    z = np.einsum("mc,mc->m", basis.vecs, spec_half_flat[flat])
+    z = np.einsum("mc,mc->m", basis.vecs, band_flat[flat])
     zr = z.real
     zi = np.where(conj, -z.imag, z.imag)
     v = basis.grid.volume
@@ -154,10 +157,10 @@ def per_mode_analyze(basis, spec_half_flat):
     return np.where(basis.is_const, np.sqrt(v) * zr, coefs)
 
 
-def per_mode_stress(basis, spec_half_flat):
+def per_mode_stress(basis, band_flat):
     """``project_stress_spec_half`` with one contraction per mode."""
     flat, conj = _representatives(basis)
-    z = np.einsum("mi,mj,mij->m", basis.vecs, basis.kvecs.astype(float), spec_half_flat[flat])
+    z = np.einsum("mi,mj,mij->m", basis.vecs, basis.kvecs.astype(float), band_flat[flat])
     zr = z.real
     zi = np.where(conj, -z.imag, z.imag)
     root = np.sqrt(2.0 * basis.grid.volume)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.fft
 
 from elgal.basis import (
     COS,
@@ -57,6 +58,69 @@ class TestGrid:
         assert SpectralGrid(8).cutoff == 2
         for n in (8, 12, 16, 32):
             assert 3 * SpectralGrid(n).cutoff < n
+
+
+def _band_rows(n, k_max):
+    """Full-spectrum indices of wavenumbers 0..k_max, then -k_max..-1."""
+    return np.concatenate([np.arange(k_max + 1), np.arange(n - k_max, n)])
+
+
+class TestBandTransforms:
+    @pytest.mark.parametrize("by_matmul", [True, False])
+    @pytest.mark.parametrize(
+        "n, k_max", [(n, k) for n in (8, 16, 32) for k in sorted({1, 2, (n - 1) // 2})]
+    )
+    def test_match_scipy_on_zero_padded_half_spectrum(self, n, k_max, by_matmul, rng):
+        grid = SpectralGrid(n, k_max)
+        grid.__dict__["_by_matmul"] = by_matmul  # force each strategy on every case
+        b, h = 2 * k_max + 1, k_max + 1
+        rows = _band_rows(n, k_max)
+        assert grid.band_shape == (b, b, h)
+        for c in (3, 9, 12, 15):
+            # Column slices of a wider array, as the right-hand side passes them.
+            field = rng.standard_normal((n, n, n, c + 3))[..., 3:]
+            half = scipy.fft.rfftn(field, axes=(0, 1, 2), norm="forward")
+            want = half[rows][:, rows][:, :, :h]
+            got = grid.rfft(field)
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+            # A random band: its k_3 = 0 plane is not Hermitian.
+            band = (rng.standard_normal((b, b, h, c + 3)) + 1j * rng.standard_normal((b, b, h, c + 3)))[..., 3:]
+            padded = np.zeros((n, n, n // 2 + 1, c), complex)
+            padded[np.ix_(rows, rows, np.arange(h))] = band
+            want = scipy.fft.irfftn(padded, s=(n,) * 3, axes=(0, 1, 2), norm="forward")
+            got = grid.irfft(band)
+            assert got.shape == want.shape == (n, n, n, c)
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+    def test_strategy_rule(self):
+        assert SpectralGrid(8, 1)._by_matmul
+        assert SpectralGrid(16, 1)._by_matmul
+        assert not SpectralGrid(32, 10)._by_matmul
+
+    def test_wrapping_band_refused(self):
+        assert SpectralGrid(16, 7).band_shape == (15, 15, 8)
+        for n, k_max in ((8, 4), (16, 8), (32, 16), (16, -1)):
+            with pytest.raises(ValueError):
+                SpectralGrid(n, k_max)
+
+    def test_default_band_is_cutoff(self):
+        assert SpectralGrid(16) == SpectralGrid(16, 5)
+        assert SpectralGrid(32).k_max == 10
+
+    def test_modes_outside_band_refused(self):
+        basis = build_director_basis(SOF_LAM, SpectralGrid(16), 200)
+        assert basis.k_max == 2
+        basis.on_grid(SpectralGrid(16, 2))
+        with pytest.raises(ValueError):
+            basis.on_grid(SpectralGrid(16, 1))
+
+    def test_shape_mismatch_refused(self):
+        grid = SpectralGrid(16, 1)
+        with pytest.raises(ValueError):
+            grid.irfft(np.zeros((5, 5, 3, 3), complex))
+        with pytest.raises(ValueError):
+            grid.rfft(np.zeros((8, 8, 8, 3)))
 
 
 class TestSymbolMatrix:
@@ -246,30 +310,30 @@ class TestSpectralDerivatives:
 
 
 def add_at_scatter(basis, coefs):
-    """Oracle: the half spectrum built entry by entry with complex np.add.at.
+    """Oracle: the band spectrum built entry by entry with complex np.add.at.
 
     Each mode adds amp * {1, -1j} (times 1/2 off k = 0) at its representative
     entry, conjugated when that entry stores -k; modes with k_3 = 0 also add
     the conjugate at the in-plane mirror entry -k.
     """
     grid = basis.grid
-    n, nh, v = grid.n, grid.n // 2 + 1, grid.volume
+    b, nh, v = 2 * grid.k_max + 1, grid.k_max + 1, grid.volume
     kv = basis.kvecs
     conj = kv[:, 2] < 0
     rep = np.where(conj[:, None], -kv, kv)
-    half_flat = np.ravel_multi_index((rep[:, 0] % n, rep[:, 1] % n, rep[:, 2]), (n, n, nh))
+    half_flat = np.ravel_multi_index((rep[:, 0] % b, rep[:, 1] % b, rep[:, 2]), (b, b, nh))
     plane = (kv[:, 2] == 0) & ~basis.is_const
     mirror = -kv[plane]
-    mirror_flat = np.ravel_multi_index((mirror[:, 0] % n, mirror[:, 1] % n, mirror[:, 2]), (n, n, nh))
+    mirror_flat = np.ravel_multi_index((mirror[:, 0] % b, mirror[:, 1] % b, mirror[:, 2]), (b, b, nh))
     scale = np.where(basis.is_const, 1.0 / np.sqrt(v), np.sqrt(2.0 / v))
     amp = (coefs * scale)[:, None] * basis.vecs
     half = np.where(basis.is_const, 1.0, 0.5)[:, None]
     phase = np.where(basis.parity == COS, 1.0, -1.0j)[:, None]
     vals = amp * half * phase
-    spec = np.zeros((n * n * nh, 3), dtype=complex)
+    spec = np.zeros((b * b * nh, 3), dtype=complex)
     np.add.at(spec, half_flat, np.where(conj[:, None], np.conj(vals), vals))
     np.add.at(spec, mirror_flat, np.conj(vals[plane]))
-    return spec.reshape(n, n, nh, 3)
+    return spec.reshape(b, b, nh, 3)
 
 
 class TestScatter:
