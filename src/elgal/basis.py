@@ -21,9 +21,9 @@ entries with |k|_inf <= k_max, which holds every retained wavevector (see
 ``SpectralGrid`` and ``_TrigBasis``): the scatter accumulates straight into
 the band and forms the gradient spectra there, and the gathers contract
 once per retained (wavevector, branch) pair, whose cosine and sine modes
-take the real and imaginary part of the same value.  Narrow bands go to and
-from the grid by per-axis DFT-matrix passes, wide ones by pocketfft on the
-zero-padded half spectrum; both give the same values in the same places.
+take the real and imaginary part of the same value.  The band goes to and
+from the grid by three per-axis DFT-matrix passes (``SpectralGrid.rfft`` and
+``irfft``), so no transform touches the entries outside it.
 
 Quadrature exactness and the transform grid
 -------------------------------------------
@@ -62,7 +62,6 @@ from functools import cached_property
 from typing import Optional
 
 import numpy as np
-import scipy.fft as _fft
 
 from .tensors import Tensor4
 
@@ -121,24 +120,6 @@ class SpectralGrid:
         return np.stack(np.meshgrid(k, k, k[: self.k_max + 1], indexing="ij"), axis=-1)
 
     @cached_property
-    def _by_matmul(self) -> bool:
-        # Narrow bands take the DFT-matrix passes, wide ones pocketfft.  The
-        # passes spend about 2 b n^3 C multiply-adds on their x pass, against
-        # pocketfft's O(n^3 C log n) and a fixed overhead.  Medians of 300
-        # interleaved calls (150 at n = 32), one thread, 2-core x86-64, in us,
-        # pocketfft -> passes, for a 15-component rfft and a 12-component irfft:
-        #   (n, k_max) = (8, 2):  84 -> 31,  74 -> 30
-        #                (16, 1): 770 -> 94,  798 -> 92
-        #                (16, 4): 636 -> 321,  521 -> 234
-        #                (16, 5): 731 -> 918,  1,086 -> 523
-        #                (32, 9): 6,114 -> 6,865,  6,157 -> 4,182
-        # The forward passes lose once 4 k_max > n; the inverse ones won on
-        # every band measured.  (32, 10), the full N = 32 bases, read 6,248
-        # -> 4,661 and 5,273 -> 3,432 in the same session, yet stays on
-        # pocketfft by this rule, so those runs keep their ledgers bit for bit.
-        return 4 * self.k_max <= self.n
-
-    @cached_property
     def _passes(self):
         """Per-axis DFT matrices of the band transforms.
 
@@ -146,7 +127,15 @@ class SpectralGrid:
         interleave cos(k x) and -sin(k x), so its product is the complex
         (.., b) array viewed as float; the other passes are complex.  The
         inverse half-axis matrix weighs k_3 > 0 by 2, so the real part of
-        the synthesis is irfftn's."""
+        the synthesis is irfftn's.
+
+        The x pass costs about 2 b n^3 C multiply-adds, against pocketfft's
+        O(n^3 C log n) on the whole half spectrum.  Medians of 300 interleaved
+        calls, one thread, 2-core x86-64, pocketfft (rfftn sliced to the band;
+        irfftn of the zero-padded band) -> passes, in us, for a 15-component
+        rfft and a 12-component irfft: (n, k_max) = (8, 1) 113 -> 24 and
+        93 -> 26; (16, 1) 740 -> 89 and 774 -> 85; (32, 10) 4,837 -> 4,078
+        and 4,182 -> 3,023."""
         n = self.n
         b, _, h = self.band_shape
         # The exact phase index k x mod n keeps every angle in [0, 2pi).
@@ -157,19 +146,12 @@ class SpectralGrid:
         inverse = (e[:, :h] * weight, e, cos_sin)
         return forward, inverse
 
-    @cached_property
-    def _band_index(self):
-        rows = np.r_[0 : self.k_max + 1, self.n - self.k_max : self.n]
-        return np.ix_(rows, rows, np.arange(self.k_max + 1))
-
     def rfft(self, field: np.ndarray) -> np.ndarray:
         """Band spectrum of a real field (n, n, n, ...), normalized so that
         field(x) = sum_k spec(k) e^{i k.x} for a field on the band."""
         n = self.n
         if field.shape[:3] != (n, n, n):
             raise ValueError(f"expected a field on the {n}^3 grid, got shape {field.shape}")
-        if not self._by_matmul:
-            return _fft.rfftn(field, axes=(0, 1, 2), norm="forward")[self._band_index]
         b, _, h = self.band_shape
         fx, fy, fz = self._passes[0]
         p = (field.reshape(n, -1).T @ fx).view(complex)  # (y, z, c, kx)
@@ -185,10 +167,6 @@ class SpectralGrid:
         if band.shape[:3] != self.band_shape:
             raise ValueError(f"expected a band spectrum {self.band_shape}, got shape {band.shape}")
         tail = band.shape[3:]
-        if not self._by_matmul:
-            half = np.zeros((n, n, n // 2 + 1, *tail), complex)
-            half[self._band_index] = band
-            return _fft.irfftn(half, s=(n,) * 3, axes=(0, 1, 2), norm="forward")
         b, _, h = self.band_shape
         iz, iy, ix = self._passes[1]
         p = band.reshape(b, b, h, -1).transpose(1, 2, 3, 0).reshape(b, h, -1)  # (ky, k3, c, kx)
@@ -396,6 +374,10 @@ class _TrigBasis:
         if coefs.shape != (self.size,):
             raise ValueError(f"expected {self.size} coefficients, got {coefs.shape}")
 
+    def _check_band(self, band_flat: np.ndarray):
+        if band_flat.shape[0] != self._band_size:
+            raise ValueError(f"expected the {self._band_size} band entries, got {band_flat.shape[0]}")
+
     def synthesize_spec_half(self, coefs: np.ndarray, gradient: bool = False) -> np.ndarray:
         """Band spectrum (b, b, k_max+1, C) of the coefficient state: its 3
         components, then with ``gradient`` the 9 of its gradient (component
@@ -439,6 +421,7 @@ class _TrigBasis:
 
     def analyze_spec_half(self, band_flat: np.ndarray) -> np.ndarray:
         """Coefficients from an already-transformed band, flattened to (E, 3)."""
+        self._check_band(band_flat)
         z = np.einsum("pc,pc->p", self._pair_vecs, band_flat[self._pair_flat])
         v = self.grid.volume
         root = np.sqrt(2.0 * v)
@@ -453,6 +436,7 @@ class _TrigBasis:
 
         Constant modes have zero gradient and get zero pairings.
         """
+        self._check_band(band_flat)
         k = self._pair_k.astype(float)
         z = np.einsum("pi,pj,pij->p", self._pair_vecs, k, band_flat[self._pair_flat])
         root = np.sqrt(2.0 * self.grid.volume)

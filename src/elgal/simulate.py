@@ -103,6 +103,8 @@ class GalerkinSystem:
         director_basis: DirectorBasis,
         forcing_v_hat: np.ndarray | None = None,
     ):
+        if not velocity_basis.grid == grid == director_basis.grid:
+            raise ValueError("both bases must be on the system's grid (see on_grid)")
         self.model = model
         self.coeffs = coeffs
         self.grid = grid

@@ -66,13 +66,11 @@ def _band_rows(n, k_max):
 
 
 class TestBandTransforms:
-    @pytest.mark.parametrize("by_matmul", [True, False])
     @pytest.mark.parametrize(
         "n, k_max", [(n, k) for n in (8, 16, 32) for k in sorted({1, 2, (n - 1) // 2})]
     )
-    def test_match_scipy_on_zero_padded_half_spectrum(self, n, k_max, by_matmul, rng):
+    def test_match_scipy_on_zero_padded_half_spectrum(self, n, k_max, rng):
         grid = SpectralGrid(n, k_max)
-        grid.__dict__["_by_matmul"] = by_matmul  # force each strategy on every case
         b, h = 2 * k_max + 1, k_max + 1
         rows = _band_rows(n, k_max)
         assert grid.band_shape == (b, b, h)
@@ -92,11 +90,6 @@ class TestBandTransforms:
             got = grid.irfft(band)
             assert got.shape == want.shape == (n, n, n, c)
             assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
-
-    def test_strategy_rule(self):
-        assert SpectralGrid(8, 1)._by_matmul
-        assert SpectralGrid(16, 1)._by_matmul
-        assert not SpectralGrid(32, 10)._by_matmul
 
     def test_wrapping_band_refused(self):
         assert SpectralGrid(16, 7).band_shape == (15, 15, 8)
@@ -121,6 +114,14 @@ class TestBandTransforms:
             grid.irfft(np.zeros((5, 5, 3, 3), complex))
         with pytest.raises(ValueError):
             grid.rfft(np.zeros((8, 8, 8, 3)))
+
+    def test_band_of_another_grid_refused(self):
+        basis = build_velocity_basis(SpectralGrid(16, 1), 26)
+        wide = SpectralGrid(16).rfft(np.zeros((16, 16, 16, 12))).reshape(-1, 12)
+        with pytest.raises(ValueError):
+            basis.analyze_spec_half(wide[:, :3])
+        with pytest.raises(ValueError):
+            basis.project_stress_spec_half(wide[:, 3:].reshape(-1, 3, 3))
 
 
 class TestSymbolMatrix:

@@ -482,6 +482,15 @@ class TestTransformGrid:
         scaled = ScaledOseenFrank(1.5, 1.0, 0.3, 0.2, 0.25, eps=1.0)
         assert transform_grid(16, WithFreedom(scaled, h, 0.7), vel, dirb).n_q == 16
 
+    def test_bases_on_another_grid_refused(self):
+        s = build_system(dataclasses.replace(parse_config(CONFIGS / "scaled_anisotropy.cfg"), n=16))
+        assert s.grid == SpectralGrid(16, 1)
+        for grid in (SpectralGrid(16), SpectralGrid(8, 1)):
+            with pytest.raises(ValueError):
+                GalerkinSystem(s.model, s.coeffs, grid, s.velocity_basis, s.director_basis)
+            with pytest.raises(ValueError):
+                GalerkinSystem(s.model, s.coeffs, s.grid, s.velocity_basis.on_grid(grid), s.director_basis)
+
     @pytest.mark.parametrize("name", ["sof_twist.cfg", "gl_mixing.cfg"])
     def test_ledger_matches_configured_grid(self, name, monkeypatch):
         cfg = dataclasses.replace(parse_config(CONFIGS / name), t_end=0.05)
