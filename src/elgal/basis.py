@@ -16,14 +16,15 @@ Two orthonormal real bases, each one structured array of modes (``MODE_DTYPE``):
 
 Coefficient vectors are real; ``analyze`` is the grid-quadrature L^2
 projection onto the retained span and ``synthesize`` its right inverse.
-Both move coefficients through the grid's band spectrum, the half-spectrum
-entries with |k|_inf <= k_max, which holds every retained wavevector (see
-``SpectralGrid`` and ``_TrigBasis``): the scatter accumulates straight into
-the band and forms the gradient spectra there, and the gathers contract
-once per retained (wavevector, branch) pair, whose cosine and sine modes
-take the real and imaginary part of the same value.  The band goes to and
-from the grid by three per-axis DFT-matrix passes (``SpectralGrid.rfft`` and
-``irfft``), so no transform touches the entries outside it.
+Both move coefficients through the grid's band spectrum, the entries with
+|k|_inf <= k_max of the half spectrum k_1 >= 0, which holds every retained
+(canonical) wavevector (see ``SpectralGrid`` and ``_TrigBasis``): the
+scatter accumulates straight into the band and forms the gradient spectra
+there, and the gathers contract once per retained (wavevector, branch)
+pair, whose cosine and sine modes take the real and imaginary part of the
+same value.  The band goes to and from the grid by three per-axis
+DFT-matrix passes (``SpectralGrid.rfft`` and ``irfft``), so no transform
+touches the entries outside it.
 
 Quadrature exactness and the transform grid
 -------------------------------------------
@@ -70,11 +71,12 @@ from .tensors import Tensor4
 class SpectralGrid:
     """Uniform n^3 grid on [0, 2pi)^3 whose spectra hold the band |k|_inf <= k_max.
 
-    A band spectrum is a (b, b, k_max+1, C) complex array, b = 2 k_max + 1,
-    holding the real-transform half spectrum's entries with |k_1|, |k_2|,
-    k_3 <= k_max; wavenumber k of the first two axes sits at index k mod b.
-    ``k_max`` defaults to the builders' ``cutoff``.  A band wider than the
-    grid would wrap onto itself and is refused."""
+    A band spectrum is a (k_max+1, b, b, C) complex array, b = 2 k_max + 1,
+    holding the real-transform half spectrum's entries with 0 <= k_1 <=
+    k_max and |k_2|, |k_3| <= k_max; the half axis is the first, and
+    wavenumber k of the last two axes sits at index k mod b.  ``k_max``
+    defaults to the builders' ``cutoff``.  A band wider than the grid would
+    wrap onto itself and is refused."""
 
     n: int
     k_max: Optional[int] = None
@@ -105,7 +107,7 @@ class SpectralGrid:
     @property
     def band_shape(self) -> tuple[int, int, int]:
         b = 2 * self.k_max + 1
-        return (b, b, self.k_max + 1)
+        return (self.k_max + 1, b, b)
 
     @cached_property
     def _band_k(self) -> np.ndarray:
@@ -115,36 +117,33 @@ class SpectralGrid:
 
     @cached_property
     def band_wavevectors(self) -> np.ndarray:
-        """(b, b, k_max+1, 3) integer wavevector of each band entry."""
+        """(k_max+1, b, b, 3) integer wavevector of each band entry."""
         k = self._band_k
-        return np.stack(np.meshgrid(k, k, k[: self.k_max + 1], indexing="ij"), axis=-1)
+        return np.stack(np.meshgrid(k[: self.k_max + 1], k, k, indexing="ij"), axis=-1)
 
     @cached_property
     def _passes(self):
-        """Per-axis DFT matrices of the band transforms.
+        """Per-axis DFT matrices of the band transforms, ((x, yz) forward,
+        (yz, x) inverse).  The x pass is one real GEMM against an
+        (n, 2 (k_max+1)) matrix whose columns interleave cos(k x) and
+        -sin(k x), 0 <= k <= k_max, so its product is the complex
+        (.., k_max+1) array viewed as float; the y and z passes are complex.
+        The inverse x matrix weighs k_1 > 0 by 2, so the synthesis keeps
+        irfftn's real part.
 
-        The x pass is one real GEMM against an (n, 2b) matrix whose columns
-        interleave cos(k x) and -sin(k x), so its product is the complex
-        (.., b) array viewed as float; the other passes are complex.  The
-        inverse half-axis matrix weighs k_3 > 0 by 2, so the real part of
-        the synthesis is irfftn's.
-
-        The x pass costs about 2 b n^3 C multiply-adds, against pocketfft's
-        O(n^3 C log n) on the whole half spectrum.  Medians of 300 interleaved
-        calls, one thread, 2-core x86-64, pocketfft (rfftn sliced to the band;
-        irfftn of the zero-padded band) -> passes, in us, for a 15-component
-        rfft and a 12-component irfft: (n, k_max) = (8, 1) 113 -> 24 and
-        93 -> 26; (16, 1) 740 -> 89 and 774 -> 85; (32, 10) 4,837 -> 4,078
-        and 4,182 -> 3,023."""
+        The forward x pass costs 2 (k_max+1) n^3 C multiply-adds and
+        already shrinks the data.  Medians of 300 interleaved calls, one
+        thread, 2-core x86-64, half axis k_3 -> k_1, in us, 15-component
+        rfft and 12-component irfft: (n, k_max) = (8, 1) 18 -> 16 and
+        18 -> 16; (16, 1) 43 -> 36 and 56 -> 49; (32, 10) 4,388 -> 2,802
+        and 3,012 -> 1,961."""
         n = self.n
-        b, _, h = self.band_shape
+        h = self.k_max + 1
         # The exact phase index k x mod n keeps every angle in [0, 2pi).
         e = np.exp((2j * np.pi / n) * ((np.arange(n)[:, None] * self._band_k) % n))
-        cos_sin = np.stack([e.real, -e.imag], axis=-1).reshape(n, 2 * b)
-        weight = np.where(np.arange(h) == 0, 1.0, 2.0)
-        forward = (cos_sin / n**3, e.conj().T.copy(), e[:, :h].conj().T.copy())
-        inverse = (e[:, :h] * weight, e, cos_sin)
-        return forward, inverse
+        cos_sin = np.stack([e[:, :h].real, -e[:, :h].imag], axis=-1).reshape(n, 2 * h)
+        weight = np.where(np.arange(2 * h) < 2, 1.0, 2.0)
+        return (cos_sin / n**3, e.conj().T.copy()), (e, cos_sin * weight)
 
     def rfft(self, field: np.ndarray) -> np.ndarray:
         """Band spectrum of a real field (n, n, n, ...), normalized so that
@@ -152,28 +151,28 @@ class SpectralGrid:
         n = self.n
         if field.shape[:3] != (n, n, n):
             raise ValueError(f"expected a field on the {n}^3 grid, got shape {field.shape}")
-        b, _, h = self.band_shape
-        fx, fy, fz = self._passes[0]
+        h, b, _ = self.band_shape
+        fx, fyz = self._passes[0]
         p = (field.reshape(n, -1).T @ fx).view(complex)  # (y, z, c, kx)
-        p = fy @ p.reshape(n, -1)  # (ky, z, c, kx)
-        p = fz @ p.reshape(b, n, -1)  # (ky, k3, c, kx)
-        p = p.reshape(b, h, -1, b).transpose(3, 0, 1, 2)
-        return np.ascontiguousarray(p).reshape(b, b, h, *field.shape[3:])
+        p = fyz @ p.reshape(n, -1)  # (ky, z, c, kx)
+        p = fyz @ p.reshape(b, n, -1)  # (ky, kz, c, kx)
+        p = p.reshape(b, b, -1, h).transpose(3, 0, 1, 2)
+        return np.ascontiguousarray(p).reshape(h, b, b, *field.shape[3:])
 
     def irfft(self, band: np.ndarray) -> np.ndarray:
         """Real field (n, n, n, ...) of a band spectrum.  As in ``irfftn``,
-        only the real part of the k_3 = 0 plane's synthesis is kept."""
+        only the real part of the k_1 = 0 plane's synthesis is kept."""
         n = self.n
         if band.shape[:3] != self.band_shape:
             raise ValueError(f"expected a band spectrum {self.band_shape}, got shape {band.shape}")
         tail = band.shape[3:]
-        b, _, h = self.band_shape
-        iz, iy, ix = self._passes[1]
-        p = band.reshape(b, b, h, -1).transpose(1, 2, 3, 0).reshape(b, h, -1)  # (ky, k3, c, kx)
-        p = iz @ p  # (ky, z, c, kx)
-        p = iy @ p.reshape(b, -1)  # (y, z, c, kx)
+        h, b, _ = self.band_shape
+        iyz, ix = self._passes[1]
+        p = band.reshape(h, b, b, -1).transpose(1, 2, 3, 0).reshape(b, b, -1)  # (ky, kz, c, kx)
+        p = iyz @ p  # (ky, z, c, kx)
+        p = iyz @ p.reshape(b, -1)  # (y, z, c, kx)
         # (x, y, z, c) directly: the GEMM reads the (.., kx) parts transposed.
-        return (ix @ p.view(float).reshape(-1, 2 * b).T).reshape(n, n, n, *tail)
+        return (ix @ p.view(float).reshape(-1, 2 * h).T).reshape(n, n, n, *tail)
 
     def quad(self, scalar_field: np.ndarray) -> float:
         """Grid quadrature of a scalar field over the box."""
@@ -296,11 +295,11 @@ class _TrigBasis:
     ``SpectralGrid``), which holds every retained wavevector, through two
     tables, built once, that index the band:
 
-    * the scatter slots: each mode's representative entry (the one with
-      nonnegative third wavevector component, conjugated when it stores -k)
-      and, for modes whose third component vanishes, the in-plane mirror
-      entry -k.  The scatter accumulates there and forms the gradient
-      spectra over the whole band;
+    * the scatter slots: each mode's representative entry, the one that
+      stores its wavevector k (modes need k_1 >= 0, as the builders'
+      canonical wavevectors have), and, for modes with k_1 = 0, the
+      in-plane mirror entry -k.  The scatter accumulates there and forms
+      the gradient spectra over the whole band;
     * the pairs: runs of consecutive modes with the same wavevector and
       vector, i.e. the cosine and sine mode of one (wavevector, branch),
       ordered by first mode.  Both read the same band entry with the same
@@ -319,16 +318,17 @@ class _TrigBasis:
             raise ValueError(
                 f"modes up to |k|_inf = {self.k_max} lie outside the grid's band {grid.k_max}"
             )
+        if (kv[:, 0] < 0).any():
+            k = kv[np.argmax(kv[:, 0] < 0)]
+            raise ValueError(f"mode wavevector k={tuple(k.tolist())} has k_1 < 0, off the band")
         self.is_const = (kv == 0).all(axis=1)
         shape = grid.band_shape
-        b = shape[0]
-        conj = kv[:, 2] < 0
-        rep = np.where(conj[:, None], -kv, kv)
-        rep_flat = np.ravel_multi_index((rep[:, 0] % b, rep[:, 1] % b, rep[:, 2]), shape)
-        self._plane = (kv[:, 2] == 0) & ~self.is_const
-        mirror = -kv[self._plane]
-        mirror_flat = np.ravel_multi_index((mirror[:, 0] % b, mirror[:, 1] % b, mirror[:, 2]), shape)
-        self._band_size = b * b * shape[2]
+        b = shape[1]
+        # k_1 lies in [0, k_max], so k mod b indexes all three axes.
+        rep_flat = np.ravel_multi_index((kv % b).T, shape)
+        self._plane = (kv[:, 0] == 0) & ~self.is_const
+        mirror_flat = np.ravel_multi_index((-kv[self._plane] % b).T, shape)
+        self._band_size = shape[0] * b * b
         v = grid.volume
         # L^2-normalization: sqrt(2/V) for travelling modes, 1/sqrt(V) for
         # constants (directors only).
@@ -337,20 +337,19 @@ class _TrigBasis:
         # e has its real part in slot 6 e + 2 c and its imaginary part in
         # the next.  A cos mode adds its weight to the real part; a sin mode
         # adds -1j times it, so -weight to the imaginary part, or +weight
-        # where the entry holds the conjugate (stored -k, mirrors).
+        # at a mirror, which holds the conjugate.
         self._half = np.where(self.is_const, 1.0, 0.5)[:, None]
         sin = self.parity != COS
-        self._sign = np.where(sin & ~conj, -1.0, 1.0)[:, None]
+        self._sign = np.where(sin, -1.0, 1.0)[:, None]
         entry = np.concatenate([rep_flat, mirror_flat])
         self._slots = (
             (6 * entry + np.concatenate([sin, sin[self._plane]]))[:, None] + 2 * np.arange(3)
         ).astype(np.int32).ravel()
-        # A pair starts wherever the wavevector (its signed entry index) or
-        # the vector changes from the previous mode.
-        signed = np.where(conj, -1 - rep_flat, rep_flat)
+        # A pair starts wherever the wavevector (its entry index) or the
+        # vector changes from the previous mode.
         new_vec = self.vecs[1:] != self.vecs[:-1]
         new_pair = np.ones(self.size, dtype=bool)
-        new_pair[1:] = (signed[1:] != signed[:-1]) | new_vec[:, 0] | new_vec[:, 1] | new_vec[:, 2]
+        new_pair[1:] = (rep_flat[1:] != rep_flat[:-1]) | new_vec[:, 0] | new_vec[:, 1] | new_vec[:, 2]
         first = np.flatnonzero(new_pair)
         # Mode i of pair p reads entry 2 p + parity of the per-pair
         # (real part, imaginary part) values, flattened.
@@ -358,7 +357,6 @@ class _TrigBasis:
         self._pair_flat = rep_flat[first]
         self._pair_k = kv[first].astype(np.int32)  # int32 keeps the table small
         self._pair_vecs = self.vecs[first]
-        self._pair_conj = conj[first]
         self._pair_const = self.is_const[first]
 
     @property
@@ -379,7 +377,7 @@ class _TrigBasis:
             raise ValueError(f"expected the {self._band_size} band entries, got {band_flat.shape[0]}")
 
     def synthesize_spec_half(self, coefs: np.ndarray, gradient: bool = False) -> np.ndarray:
-        """Band spectrum (b, b, k_max+1, C) of the coefficient state: its 3
+        """Band spectrum (k_max+1, b, b, C) of the coefficient state: its 3
         components, then with ``gradient`` the 9 of its gradient (component
         3 + 3 i + a holds d_a f_i).  The director equation pairs with each
         mode's value and gradient only, so no higher derivative is ever
@@ -425,10 +423,9 @@ class _TrigBasis:
         z = np.einsum("pc,pc->p", self._pair_vecs, band_flat[self._pair_flat])
         v = self.grid.volume
         root = np.sqrt(2.0 * v)
-        # cos: root Re z (sqrt(V) Re z for a constant); sin: -root Im z, of
-        # the conjugate where the entry stores -k.
+        # cos: root Re z (sqrt(V) Re z for a constant); sin: -root Im z.
         real_scale = np.where(self._pair_const, np.sqrt(v), root)
-        parts = self._scaled_parts(z, real_scale, np.where(self._pair_conj, root, -root))
+        parts = self._scaled_parts(z, real_scale, -root)
         return np.take(parts, self._part)
 
     def project_stress_spec_half(self, band_flat: np.ndarray) -> np.ndarray:
@@ -440,9 +437,9 @@ class _TrigBasis:
         k = self._pair_k.astype(float)
         z = np.einsum("pi,pj,pij->p", self._pair_vecs, k, band_flat[self._pair_flat])
         root = np.sqrt(2.0 * self.grid.volume)
-        # cos: root Im z (of the conjugate where the entry stores -k); sin:
-        # root Re z.  So a cos mode reads the imaginary part, a sin mode the real.
-        parts = self._scaled_parts(z, root, np.where(self._pair_conj, -root, root))
+        # cos: root Im z; sin: root Re z.  So a cos mode reads the
+        # imaginary part, a sin mode the real.
+        parts = self._scaled_parts(z, root, root)
         return np.take(parts, self._part ^ 1)
 
     def analyze(self, field: np.ndarray) -> np.ndarray:

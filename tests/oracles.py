@@ -104,11 +104,11 @@ def manifest(basis):
 
 
 def k_mesh_band(grid):
-    """(b, b, k_max+1, 3) integer wavevector mesh of the band spectrum,
-    b = 2 k_max + 1, wavenumber k of the first two axes at index k mod b."""
+    """(k_max+1, b, b, 3) integer wavevector mesh of the band spectrum,
+    b = 2 k_max + 1, wavenumber k of the last two axes at index k mod b."""
     b = 2 * grid.k_max + 1
     k = np.array([i if i <= grid.k_max else i - b for i in range(b)])
-    kx, ky, kz = np.meshgrid(k, k, np.arange(grid.k_max + 1), indexing="ij")
+    kx, ky, kz = np.meshgrid(np.arange(grid.k_max + 1), k, k, indexing="ij")
     return np.stack([kx, ky, kz], axis=-1)
 
 
@@ -135,14 +135,14 @@ def full_mesh_derivatives(basis, coefs, hessian=False):
 
 
 def _representatives(basis):
-    """Flat band index of each mode's representative entry (third
+    """Flat band index of each mode's representative entry (first
     wavevector component >= 0), and whether that entry stores -k."""
     k_max = basis.grid.k_max
     b = 2 * k_max + 1
     kv = basis.kvecs
-    conj = kv[:, 2] < 0
+    conj = kv[:, 0] < 0
     rep = np.where(conj[:, None], -kv, kv)
-    flat = np.ravel_multi_index((rep[:, 0] % b, rep[:, 1] % b, rep[:, 2]), (b, b, k_max + 1))
+    flat = np.ravel_multi_index((rep[:, 0], rep[:, 1] % b, rep[:, 2] % b), (k_max + 1, b, b))
     return flat, conj
 
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.fft
@@ -73,26 +75,27 @@ class TestBandTransforms:
         grid = SpectralGrid(n, k_max)
         b, h = 2 * k_max + 1, k_max + 1
         rows = _band_rows(n, k_max)
-        assert grid.band_shape == (b, b, h)
+        assert grid.band_shape == (h, b, b)
         for c in (3, 9, 12, 15):
             # Column slices of a wider array, as the right-hand side passes them.
             field = rng.standard_normal((n, n, n, c + 3))[..., 3:]
-            half = scipy.fft.rfftn(field, axes=(0, 1, 2), norm="forward")
-            want = half[rows][:, rows][:, :, :h]
+            # The half axis is x, the first: scipy takes it last in ``axes``.
+            half = scipy.fft.rfftn(field, axes=(1, 2, 0), norm="forward")
+            want = half[:h][:, rows][:, :, rows]
             got = grid.rfft(field)
             assert got.shape == want.shape
             assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
-            # A random band: its k_3 = 0 plane is not Hermitian.
-            band = (rng.standard_normal((b, b, h, c + 3)) + 1j * rng.standard_normal((b, b, h, c + 3)))[..., 3:]
-            padded = np.zeros((n, n, n // 2 + 1, c), complex)
-            padded[np.ix_(rows, rows, np.arange(h))] = band
-            want = scipy.fft.irfftn(padded, s=(n,) * 3, axes=(0, 1, 2), norm="forward")
+            # A random band: its k_1 = 0 plane is not Hermitian.
+            band = (rng.standard_normal((h, b, b, c + 3)) + 1j * rng.standard_normal((h, b, b, c + 3)))[..., 3:]
+            padded = np.zeros((n // 2 + 1, n, n, c), complex)
+            padded[np.ix_(np.arange(h), rows, rows)] = band
+            want = scipy.fft.irfftn(padded, s=(n,) * 3, axes=(1, 2, 0), norm="forward")
             got = grid.irfft(band)
             assert got.shape == want.shape == (n, n, n, c)
             assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
     def test_wrapping_band_refused(self):
-        assert SpectralGrid(16, 7).band_shape == (15, 15, 8)
+        assert SpectralGrid(16, 7).band_shape == (8, 15, 15)
         for n, k_max in ((8, 4), (16, 8), (32, 16), (16, -1)):
             with pytest.raises(ValueError):
                 SpectralGrid(n, k_max)
@@ -115,6 +118,13 @@ class TestBandTransforms:
         with pytest.raises(ValueError):
             grid.rfft(np.zeros((8, 8, 8, 3)))
 
+    def test_negative_first_component_refused(self):
+        basis = build_velocity_basis(SpectralGrid(8), 4)
+        modes = basis.modes.copy()
+        modes["k"][2] = (-1, 0, 1)
+        with pytest.raises(ValueError, match=r"k=\(-1, 0, 1\) has k_1 < 0"):
+            VelocityBasis(basis.grid, modes)
+
     def test_band_of_another_grid_refused(self):
         basis = build_velocity_basis(SpectralGrid(16, 1), 26)
         wide = SpectralGrid(16).rfft(np.zeros((16, 16, 16, 12))).reshape(-1, 12)
@@ -122,6 +132,29 @@ class TestBandTransforms:
             basis.analyze_spec_half(wide[:, :3])
         with pytest.raises(ValueError):
             basis.project_stress_spec_half(wide[:, 3:].reshape(-1, 3, 3))
+
+
+def _traced_peak(transform, arg):
+    """Peak bytes numpy allocates during one call (inputs not counted)."""
+    transform(arg)  # the DFT matrices are built once, outside the trace
+    tracemalloc.start()
+    try:
+        transform(arg)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestPassWorkingSet:
+    def test_passes_stay_near_the_field_size(self, rng):
+        # gl-n32-full's transform grid: the forward's real x pass writes only
+        # the k_1 >= 0 half, so no pass outgrows the field it reads or writes.
+        grid = SpectralGrid(32, 10)
+        field = rng.standard_normal((32, 32, 32, 15))
+        assert _traced_peak(grid.rfft, field) <= 1.5 * field.nbytes
+        band = grid.rfft(field)[..., :12].copy()
+        out_bytes = 32**3 * 12 * 8
+        assert _traced_peak(grid.irfft, band) <= 2.0 * out_bytes
 
 
 class TestSymbolMatrix:
@@ -314,27 +347,27 @@ def add_at_scatter(basis, coefs):
     """Oracle: the band spectrum built entry by entry with complex np.add.at.
 
     Each mode adds amp * {1, -1j} (times 1/2 off k = 0) at its representative
-    entry, conjugated when that entry stores -k; modes with k_3 = 0 also add
+    entry, conjugated when that entry stores -k; modes with k_1 = 0 also add
     the conjugate at the in-plane mirror entry -k.
     """
     grid = basis.grid
     b, nh, v = 2 * grid.k_max + 1, grid.k_max + 1, grid.volume
     kv = basis.kvecs
-    conj = kv[:, 2] < 0
+    conj = kv[:, 0] < 0
     rep = np.where(conj[:, None], -kv, kv)
-    half_flat = np.ravel_multi_index((rep[:, 0] % b, rep[:, 1] % b, rep[:, 2]), (b, b, nh))
-    plane = (kv[:, 2] == 0) & ~basis.is_const
+    half_flat = np.ravel_multi_index((rep[:, 0], rep[:, 1] % b, rep[:, 2] % b), (nh, b, b))
+    plane = (kv[:, 0] == 0) & ~basis.is_const
     mirror = -kv[plane]
-    mirror_flat = np.ravel_multi_index((mirror[:, 0] % b, mirror[:, 1] % b, mirror[:, 2]), (b, b, nh))
+    mirror_flat = np.ravel_multi_index((mirror[:, 0], mirror[:, 1] % b, mirror[:, 2] % b), (nh, b, b))
     scale = np.where(basis.is_const, 1.0 / np.sqrt(v), np.sqrt(2.0 / v))
     amp = (coefs * scale)[:, None] * basis.vecs
     half = np.where(basis.is_const, 1.0, 0.5)[:, None]
     phase = np.where(basis.parity == COS, 1.0, -1.0j)[:, None]
     vals = amp * half * phase
-    spec = np.zeros((b * b * nh, 3), dtype=complex)
+    spec = np.zeros((nh * b * b, 3), dtype=complex)
     np.add.at(spec, half_flat, np.where(conj[:, None], np.conj(vals), vals))
     np.add.at(spec, mirror_flat, np.conj(vals[plane]))
-    return spec.reshape(b, b, nh, 3)
+    return spec.reshape(nh, b, b, 3)
 
 
 class TestScatter:
@@ -348,7 +381,7 @@ class TestScatter:
             assert basis.is_const.sum() == 3
         else:
             basis = build_velocity_basis(grid, n_modes)
-        assert np.any(basis.kvecs[:, 2] == 0) and np.any(basis.kvecs[:, 2] != 0)
+        assert np.any(basis.kvecs[:, 0] == 0) and np.any(basis.kvecs[:, 0] != 0)
         for coefs in (rng.standard_normal(basis.size), np.zeros(basis.size)):
             spec = basis.synthesize_spec_half(coefs)
             oracle = add_at_scatter(basis, coefs)
