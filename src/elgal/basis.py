@@ -20,11 +20,14 @@ Both move coefficients through the grid's band spectrum, the entries with
 |k|_inf <= k_max of the half spectrum k_1 >= 0, which holds every retained
 (canonical) wavevector (see ``SpectralGrid`` and ``_TrigBasis``): the
 scatter accumulates straight into the band and forms the gradient spectra
-there, and the gathers contract once per retained (wavevector, branch)
-pair, whose cosine and sine modes take the real and imaginary part of the
-same value.  The band goes to and from the grid by three per-axis
-DFT-matrix passes (``SpectralGrid.rfft`` and ``irfft``), so no transform
-touches the entries outside it.
+there, and the one gather, ``analyze_spec_half``, contracts once per
+retained (wavevector, branch) pair, whose cosine and sine modes take the
+real and imaginary part of the same value.  A stress T pairs through its
+band divergence, (T : grad w_i) = -(div T, w_i), in that same gather; the
+gradient and the divergence share one derivative table, ``band_ik``.  The
+band goes to and from the grid by three per-axis DFT-matrix passes
+(``SpectralGrid.rfft`` and ``irfft``), so no transform touches the entries
+outside it.
 
 Quadrature exactness and the transform grid
 -------------------------------------------
@@ -120,6 +123,20 @@ class SpectralGrid:
         """(k_max+1, b, b, 3) integer wavevector of each band entry."""
         k = self._band_k
         return np.stack(np.meshgrid(k[: self.k_max + 1], k, k, indexing="ij"), axis=-1)
+
+    @cached_property
+    def band_ik(self) -> np.ndarray:
+        """(E, 3) symbol 1j k of the flattened band, for gradients and ``divergence``."""
+        return 1j * self.band_wavevectors.reshape(-1, 3)
+
+    def _check_flat(self, band_flat: np.ndarray):
+        if band_flat.shape[0] != len(self.band_ik):
+            raise ValueError(f"expected the {len(self.band_ik)} band entries, got {band_flat.shape[0]}")
+
+    def divergence(self, band_flat: np.ndarray) -> np.ndarray:
+        """Row divergence sum_a d_a T_ia of a band flattened to (E, 3, 3), as (E, 3)."""
+        self._check_flat(band_flat)
+        return np.einsum("eia,ea->ei", band_flat, self.band_ik)
 
     @cached_property
     def _passes(self):
@@ -303,7 +320,7 @@ class _TrigBasis:
     * the pairs: runs of consecutive modes with the same wavevector and
       vector, i.e. the cosine and sine mode of one (wavevector, branch),
       ordered by first mode.  Both read the same band entry with the same
-      vector, so a gather contracts once per pair and each mode takes the
+      vector, so the gather contracts once per pair and each mode takes the
       real or imaginary part of its pair's value."""
 
     def __init__(self, grid: SpectralGrid, modes: np.ndarray):
@@ -328,7 +345,6 @@ class _TrigBasis:
         rep_flat = np.ravel_multi_index((kv % b).T, shape)
         self._plane = (kv[:, 0] == 0) & ~self.is_const
         mirror_flat = np.ravel_multi_index((-kv[self._plane] % b).T, shape)
-        self._band_size = shape[0] * b * b
         v = grid.volume
         # L^2-normalization: sqrt(2/V) for travelling modes, 1/sqrt(V) for
         # constants (directors only).
@@ -355,7 +371,6 @@ class _TrigBasis:
         # (real part, imaginary part) values, flattened.
         self._part = (2 * (np.cumsum(new_pair) - 1) + sin).astype(np.int32)
         self._pair_flat = rep_flat[first]
-        self._pair_k = kv[first].astype(np.int32)  # int32 keeps the table small
         self._pair_vecs = self.vecs[first]
         self._pair_const = self.is_const[first]
 
@@ -372,10 +387,6 @@ class _TrigBasis:
         if coefs.shape != (self.size,):
             raise ValueError(f"expected {self.size} coefficients, got {coefs.shape}")
 
-    def _check_band(self, band_flat: np.ndarray):
-        if band_flat.shape[0] != self._band_size:
-            raise ValueError(f"expected the {self._band_size} band entries, got {band_flat.shape[0]}")
-
     def synthesize_spec_half(self, coefs: np.ndarray, gradient: bool = False) -> np.ndarray:
         """Band spectrum (k_max+1, b, b, C) of the coefficient state: its 3
         components, then with ``gradient`` the 9 of its gradient (component
@@ -388,13 +399,12 @@ class _TrigBasis:
         weights = np.empty(len(self._slots))
         np.multiply(w, self._sign, out=weights[: w.size].reshape(w.shape))
         np.compress(self._plane, w, axis=0, out=weights[w.size :].reshape(-1, 3))
-        s = np.bincount(self._slots, weights, minlength=6 * self._band_size)
+        s = np.bincount(self._slots, weights, minlength=6 * len(self.grid.band_ik))
         s = s.view(complex).reshape(-1, 3)
         if gradient:
             spec = np.empty((len(s), 12), complex)
             spec[:, :3] = s
-            ik = 1j * self.grid.band_wavevectors.reshape(-1, 3)
-            np.multiply(s[:, :, None], ik[:, None, :], out=spec[:, 3:].reshape(-1, 3, 3))
+            np.multiply(s[:, :, None], self.grid.band_ik[:, None], out=spec[:, 3:].reshape(-1, 3, 3))
             s = spec
         return s.reshape(*self.grid.band_shape, -1)
 
@@ -408,39 +418,23 @@ class _TrigBasis:
         out = self.grid.irfft(self.synthesize_spec_half(coefs, gradient=True))
         return out[..., :3], out[..., 3:].reshape(n, n, n, 3, 3)
 
-    @staticmethod
-    def _scaled_parts(z: np.ndarray, real_scale, imag_scale) -> np.ndarray:
-        """The pair values z as (P, 2) rows (real part * real_scale, imaginary
-        part * imag_scale), scaled in place."""
-        parts = z.view(float).reshape(-1, 2)
-        parts[:, 0] *= real_scale
-        parts[:, 1] *= imag_scale
-        return parts
-
     def analyze_spec_half(self, band_flat: np.ndarray) -> np.ndarray:
-        """Coefficients from an already-transformed band, flattened to (E, 3)."""
-        self._check_band(band_flat)
+        """Coefficients from an already-transformed band, flattened to (E, 3): the
+        one gather, which a stress reaches through ``SpectralGrid.divergence``."""
+        self.grid._check_flat(band_flat)
         z = np.einsum("pc,pc->p", self._pair_vecs, band_flat[self._pair_flat])
         v = self.grid.volume
         root = np.sqrt(2.0 * v)
         # cos: root Re z (sqrt(V) Re z for a constant); sin: -root Im z.
-        real_scale = np.where(self._pair_const, np.sqrt(v), root)
-        parts = self._scaled_parts(z, real_scale, -root)
+        parts = z.view(float).reshape(-1, 2)
+        parts[:, 0] *= np.where(self._pair_const, np.sqrt(v), root)
+        parts[:, 1] *= -root
         return np.take(parts, self._part)
 
     def project_stress_spec_half(self, band_flat: np.ndarray) -> np.ndarray:
-        """Pairings (T : grad w_i) from a transformed band, flattened to (E, 3, 3).
-
-        Constant modes have zero gradient and get zero pairings.
-        """
-        self._check_band(band_flat)
-        k = self._pair_k.astype(float)
-        z = np.einsum("pi,pj,pij->p", self._pair_vecs, k, band_flat[self._pair_flat])
-        root = np.sqrt(2.0 * self.grid.volume)
-        # cos: root Im z; sin: root Re z.  So a cos mode reads the
-        # imaginary part, a sin mode the real.
-        parts = self._scaled_parts(z, root, root)
-        return np.take(parts, self._part ^ 1)
+        """Pairings (T : grad w_i) = -(div T, w_i) from a transformed band,
+        flattened to (E, 3, 3); constant modes get zero."""
+        return self.analyze_spec_half(-self.grid.divergence(band_flat))
 
     def analyze(self, field: np.ndarray) -> np.ndarray:
         """Grid-quadrature L^2 inner products with every retained mode."""

@@ -184,10 +184,7 @@ class _Section:
         raw = self.get(key, None, required)
         if raw is None:
             return default
-        try:
-            val = float(raw)
-        except ValueError:
-            raise ConfigError(f"key '{key}': not a number: {raw!r}") from None
+        val = _number(key, raw)
         if positive and not val > 0:
             raise ConfigError(f"key '{key}': must be positive, got {val}")
         if nonnegative and val < 0:
@@ -224,7 +221,18 @@ class _Section:
         parts = raw.replace(",", " ").split()
         if len(parts) != 3:
             raise ConfigError(f"key '{key}': expected three components, got {raw!r}")
-        return np.array([float(x) for x in parts])
+        return np.array([_number(key, x) for x in parts])
+
+
+def _number(key: str, text: str) -> float:
+    """A finite float: nan and +-inf would only fail later, far from the key."""
+    try:
+        val = float(text)
+    except ValueError:
+        raise ConfigError(f"key '{key}': not a number: {text!r}") from None
+    if not np.isfinite(val):
+        raise ConfigError(f"key '{key}': must be finite, got {text!r}")
+    return val
 
 
 # Number of values after each directive keyword.
@@ -299,20 +307,17 @@ def parse_config(path: str) -> SimulationConfig:
 
     def model_params(kind):
         p: dict = {}
-        eps_raw = msec.get("eps")
-        if eps_raw is not None and str(eps_raw).lower() == "none":
+        p["penalty"] = msec.get_bool("penalty", True)
+        if str(msec.get("eps", "")).lower() == "none":
+            if p["penalty"] and "penalty" in msec.raw:
+                raise ConfigError("key 'penalty': cannot be on with eps = none")
             p["penalty"] = False
         else:
             p["eps"] = msec.get_float("eps", 1.0, positive=True)
-            p["penalty"] = msec.get_bool("penalty", True)
         for key in _MODEL_REQUIRED[kind]:
-            p[key] = msec.get_float(key, required=True)
-        for key in ("k1", "k2"):
-            if key in p and p[key] <= 0:
-                raise ConfigError(f"key '{key}': must be positive, got {p[key]}")
-        for key in ("k3", "k4"):
-            if key in p and p[key] < 0:
-                raise ConfigError(f"key '{key}': must be nonnegative, got {p[key]}")
+            p[key] = msec.get_float(
+                key, required=True, positive=key in ("k1", "k2"), nonnegative=key in ("k3", "k4")
+            )
         return p
 
     if mtype in _BASE_TYPES:

@@ -544,8 +544,8 @@ def energy_gradient(model: FreeEnergyModel, basis, coefs):
         return d, grad_d, q_hat
     dh, rem = model.remainder_gradients(d, grad_d)
     spec = grid.rfft(np.concatenate([dh, rem.reshape(n, n, n, 9)], axis=-1)).reshape(-1, 12)
-    q_hat += basis.analyze_spec_half(spec[:, 0:3])
-    q_hat += basis.project_stress_spec_half(spec[:, 3:12].reshape(-1, 3, 3))
+    # (R, grad z_i) = -(div R, z_i): one gather for both pairings.
+    q_hat += basis.analyze_spec_half(spec[:, 0:3] - grid.divergence(spec[:, 3:12].reshape(-1, 3, 3)))
     return d, grad_d, q_hat
 
 

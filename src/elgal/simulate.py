@@ -20,7 +20,9 @@ mixed terms) and the coupling stress T - mu4 Sv go through the grid.  All
 nonlinear pairings are evaluated pseudospectrally by grid quadrature, so the
 semi-discrete energy balance holds to rounding error.  ``build_system`` runs
 the transforms on the smallest grid, up to the configured N, on which those
-pairings are exact for the retained modes (``transform_grid``).
+pairings are exact for the retained modes (``transform_grid``).  With
+-(T : grad w_i) = (div T, w_i), T's band divergence joins the velocity
+forcing, so one ``analyze_spec_half`` gathers it all.
 
 Time stepping is fixed-step integrating-factor RK4: the diagonal linear
 parts (-gamma * sigma_i for director modes, -(mu4/2) |k|^2 for velocity
@@ -173,12 +175,9 @@ class GalerkinSystem:
         )
         spec = grid.rfft(bundle).reshape(-1, 15)
         dd_hat = -self.director_basis.analyze_spec_half(spec[:, 0:3]) - c.gamma * q_hat
-        dv_hat = (
-            self.forcing_v_hat
-            + self.lin_v * state.v_hat
-            + self.velocity_basis.analyze_spec_half(spec[:, 3:6])
-            - self.velocity_basis.project_stress_spec_half(spec[:, 6:15].reshape(-1, 3, 3))
-        )
+        force = spec[:, 3:6] + grid.divergence(spec[:, 6:15].reshape(-1, 3, 3))
+        dv_hat = self.forcing_v_hat + self.lin_v * state.v_hat
+        dv_hat += self.velocity_basis.analyze_spec_half(force)
         return dv_hat, dd_hat
 
     def _nonlinear(self, v_hat, d_hat, rhs=None):

@@ -136,20 +136,21 @@ def full_mesh_derivatives(basis, coefs, hessian=False):
 
 def _representatives(basis):
     """Flat band index of each mode's representative entry (first
-    wavevector component >= 0), and whether that entry stores -k."""
+    wavevector component >= 0), the wavevector stored there, and whether
+    that is -k."""
     k_max = basis.grid.k_max
     b = 2 * k_max + 1
     kv = basis.kvecs
     conj = kv[:, 0] < 0
     rep = np.where(conj[:, None], -kv, kv)
     flat = np.ravel_multi_index((rep[:, 0], rep[:, 1] % b, rep[:, 2] % b), (k_max + 1, b, b))
-    return flat, conj
+    return flat, rep, conj
 
 
-def per_mode_analyze(basis, band_flat):
-    """``analyze_spec_half`` with one complex dot product per mode."""
-    flat, conj = _representatives(basis)
-    z = np.einsum("mc,mc->m", basis.vecs, band_flat[flat])
+def _per_mode_coefs(basis, values, conj):
+    """Coefficients from each mode's representative-entry values (M, 3),
+    one complex dot product per mode."""
+    z = np.einsum("mc,mc->m", basis.vecs, values)
     zr = z.real
     zi = np.where(conj, -z.imag, z.imag)
     v = basis.grid.volume
@@ -157,14 +158,18 @@ def per_mode_analyze(basis, band_flat):
     return np.where(basis.is_const, np.sqrt(v) * zr, coefs)
 
 
+def per_mode_analyze(basis, band_flat):
+    """``analyze_spec_half`` with one complex dot product per mode."""
+    flat, _, conj = _representatives(basis)
+    return _per_mode_coefs(basis, band_flat[flat], conj)
+
+
 def per_mode_stress(basis, band_flat):
-    """``project_stress_spec_half`` with one contraction per mode."""
-    flat, conj = _representatives(basis)
-    z = np.einsum("mi,mj,mij->m", basis.vecs, basis.kvecs.astype(float), band_flat[flat])
-    zr = z.real
-    zi = np.where(conj, -z.imag, z.imag)
-    root = np.sqrt(2.0 * basis.grid.volume)
-    return np.where(basis.parity == COS, root * zi, root * zr)
+    """``project_stress_spec_half`` per mode: -(div T) at each mode's
+    representative entry, then ``per_mode_analyze``'s dot and scaling."""
+    flat, rep, conj = _representatives(basis)
+    div = np.einsum("mia,ma->mi", band_flat[flat], 1j * rep)
+    return _per_mode_coefs(basis, -div, conj)
 
 
 def weak_form_q_hat(model, basis, coefs):

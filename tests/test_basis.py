@@ -132,6 +132,8 @@ class TestBandTransforms:
             basis.analyze_spec_half(wide[:, :3])
         with pytest.raises(ValueError):
             basis.project_stress_spec_half(wide[:, 3:].reshape(-1, 3, 3))
+        with pytest.raises(ValueError):
+            basis.grid.divergence(wide[:, 3:].reshape(-1, 3, 3))
 
 
 def _traced_peak(transform, arg):
@@ -441,6 +443,34 @@ class TestTouchedEntries:
         for spec, stress in cases:
             assert_bytes_equal(basis.analyze_spec_half(spec), per_mode_analyze(basis, spec))
             assert_bytes_equal(basis.project_stress_spec_half(stress), per_mode_stress(basis, stress))
+
+
+class TestStressPairing:
+    @pytest.mark.parametrize(
+        "kind, n, n_modes, rehomed",
+        [
+            (kind, n, n_modes, False)
+            for kind in ("director", "velocity")
+            for n, n_modes in ((8, None), (16, 57))
+        ]
+        + [("director", 8, None, True)],
+    )
+    def test_matches_grid_quadrature(self, kind, n, n_modes, rehomed, rng):
+        """(T : grad w_i) through the band divergence against the grid
+        quadrature of T : grad w_i, grad w_i synthesized from a unit vector."""
+        basis = _touched_basis(kind, n, n_modes, rehomed)
+        grid = basis.grid
+        m = grid.n
+        stress = rng.standard_normal((m, m, m, 3, 3))
+        got = basis.project_stress_spec_half(grid.rfft(stress.reshape(m, m, m, 9)).reshape(-1, 3, 3))
+        want = np.array(
+            [
+                grid.quad(np.sum(stress * basis.synthesize_with_derivatives(unit)[1], axis=(-2, -1)))
+                for unit in np.eye(basis.size)
+            ]
+        )
+        assert np.all(got[basis.is_const] == 0.0) and np.all(want[basis.is_const] == 0.0)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 def _reference_sign_fix(v):

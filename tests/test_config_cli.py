@@ -82,6 +82,23 @@ class TestParseConfig:
         assert cfg.model_params["penalty"] is False
         assert cfg.build_model().penalty_weight == 0.0
 
+    def test_penalty_parsed_beside_eps_none(self, tmp_path):
+        with pytest.raises(ConfigError, match="key 'penalty': expected on/off, got 'maybe'"):
+            parse_config(write(tmp_path, MINIMAL.replace("eps = 1", "eps = none\npenalty = maybe")))
+        with pytest.raises(ConfigError, match="key 'penalty': cannot be on"):
+            parse_config(write(tmp_path, MINIMAL.replace("eps = 1", "eps = none\npenalty = on")))
+        cfg = parse_config(write(tmp_path, MINIMAL.replace("eps = 1", "eps = none\npenalty = off")))
+        assert cfg.model_params == {"penalty": False}
+
+    @pytest.mark.parametrize("b", ["nan 0 0", "0 -inf 0", "x 0 0"])
+    def test_vector_components_finite_numbers(self, tmp_path, b):
+        text = MINIMAL.replace(
+            "type = ginzburg_landau\neps = 1",
+            f"type = with_freedom\nbase = ginzburg_landau\nb = {b}\nb_bar = 0.5",
+        )
+        with pytest.raises(ConfigError, match="key 'b'"):
+            parse_config(write(tmp_path, text))
+
     def test_wrapper_model_with_base(self, tmp_path):
         text = MINIMAL.replace(
             "type = ginzburg_landau\neps = 1",
@@ -266,6 +283,15 @@ class TestCli:
         text = RUNNABLE.replace(shipped, f"{key} = {directive}")
         assert main(["run", write(tmp_path, text), "--outdir", str(tmp_path)]) == 2
         assert f"key '{key}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "key, value", [("mu2", "nan"), ("mu4", "-inf"), ("t_end", "inf"), ("dt", "inf"), ("t_end", "NaN")]
+    )
+    def test_non_finite_number_is_config_error(self, tmp_path, capsys, key, value):
+        shipped = next(line for line in RUNNABLE.splitlines() if line.startswith(f"{key} ="))
+        text = RUNNABLE.replace(shipped, f"{key} = {value}")
+        assert main(["run", write(tmp_path, text), "--outdir", str(tmp_path)]) == 2
+        assert f"key '{key}': must be finite" in capsys.readouterr().err
 
     def test_validate_passes_for_accepted_setup(self, tmp_path, capsys):
         assert main(["validate", write(tmp_path, MINIMAL)]) == 0
