@@ -29,6 +29,19 @@ band goes to and from the grid by three per-axis DFT-matrix passes
 (``SpectralGrid.rfft`` and ``irfft``), so no transform touches the entries
 outside it.
 
+Field memory layout
+-------------------
+Grid fields are component-major.  ``irfft`` writes each component as one
+contiguous n^3 plane and returns the (n, n, n, ...) view whose component
+axes have strides of whole planes; ``rfft`` reads such a field in place.
+NumPy's ufuncs, ``einsum`` and ``concatenate`` allocate their results in
+the memory order of their operands, so the pointwise layer keeps its
+trailing-axis indexing and still runs on whole planes: at 32^3 an
+``einsum("...ia,...a->...i")`` over planes is 3-4x faster than over
+interleaved rows of 3 and 9 values.  A hot-path operation that allocates
+a C-order result from such fields (``np.stack(..., axis=-1)``, a matmul
+over the trailing axis) would mix the layouts downstream, so there is none.
+
 Quadrature exactness and the transform grid
 -------------------------------------------
 The builders draw modes from the wavevectors with 3 |k|_inf < N on the
@@ -79,7 +92,9 @@ class SpectralGrid:
     k_max and |k_2|, |k_3| <= k_max; the half axis is the first, and
     wavenumber k of the last two axes sits at index k mod b.  ``k_max``
     defaults to the builders' ``cutoff``.  A band wider than the grid would
-    wrap onto itself and is refused."""
+    wrap onto itself and is refused.  Grid fields (n, n, n, ...) are
+    component-major, each component one contiguous n^3 plane (see the module
+    docstring): ``irfft`` writes them and ``rfft`` reads them in place."""
 
     n: int
     k_max: Optional[int] = None
@@ -149,11 +164,15 @@ class SpectralGrid:
         irfftn's real part.
 
         The forward x pass costs 2 (k_max+1) n^3 C multiply-adds and
-        already shrinks the data.  Medians of 300 interleaved calls, one
-        thread, 2-core x86-64, half axis k_3 -> k_1, in us, 15-component
-        rfft and 12-component irfft: (n, k_max) = (8, 1) 18 -> 16 and
-        18 -> 16; (16, 1) 43 -> 36 and 56 -> 49; (32, 10) 4,388 -> 2,802
-        and 3,012 -> 1,961."""
+        already shrinks the data.  On component-major fields the x and y
+        passes run one GEMM per component and the z pass one GEMM after a
+        transpose of the (k_max+1) b n C partial band.  Medians of 3,000
+        interleaved calls (600 at 32^3), one thread, CLI malloc thresholds,
+        2-core x86-64, component-last -> component-major fields, in us,
+        15-component rfft and 12-component irfft: (n, k_max) = (8, 1)
+        18 -> 25 and 19 -> 27; (16, 1) 38 -> 49 and 64 -> 70; (32, 10)
+        2,996 -> 2,749 and 2,202 -> 2,340.  The small grids pay for the
+        extra GEMM calls; the pointwise layer gains more on every grid."""
         n = self.n
         h = self.k_max + 1
         # The exact phase index k x mod n keeps every angle in [0, 2pi).
@@ -164,32 +183,38 @@ class SpectralGrid:
 
     def rfft(self, field: np.ndarray) -> np.ndarray:
         """Band spectrum of a real field (n, n, n, ...), normalized so that
-        field(x) = sum_k spec(k) e^{i k.x} for a field on the band."""
+        field(x) = sum_k spec(k) e^{i k.x} for a field on the band.  A
+        component-major field is read in place; the x pass's matmul copies
+        a field of any other layout to that order, with the same result."""
         n = self.n
         if field.shape[:3] != (n, n, n):
             raise ValueError(f"expected a field on the {n}^3 grid, got shape {field.shape}")
         h, b, _ = self.band_shape
         fx, fyz = self._passes[0]
-        p = (field.reshape(n, -1).T @ fx).view(complex)  # (y, z, c, kx)
-        p = fyz @ p.reshape(n, -1)  # (ky, z, c, kx)
-        p = fyz @ p.reshape(b, n, -1)  # (ky, kz, c, kx)
-        p = p.reshape(b, b, -1, h).transpose(3, 0, 1, 2)
+        # One real x GEMM per (x, yz) plane, read transposed.
+        p = np.matmul(field.reshape(n, n * n, -1).transpose(2, 1, 0), fx).view(complex)  # (c, y, z, kx)
+        p = np.matmul(fyz, p.reshape(-1, n, n * h))  # (c, ky, z, kx)
+        p = fyz @ p.reshape(-1, b, n, h).transpose(2, 0, 1, 3).reshape(n, -1)  # (kz, c, ky, kx)
+        p = p.reshape(b, -1, b, h).transpose(3, 2, 0, 1)
         return np.ascontiguousarray(p).reshape(h, b, b, *field.shape[3:])
 
     def irfft(self, band: np.ndarray) -> np.ndarray:
-        """Real field (n, n, n, ...) of a band spectrum.  As in ``irfftn``,
-        only the real part of the k_1 = 0 plane's synthesis is kept."""
+        """Real field (n, n, n, ...) of a band spectrum, component-major.  As
+        in ``irfftn``, only the real part of the k_1 = 0 plane's synthesis is
+        kept."""
         n = self.n
         if band.shape[:3] != self.band_shape:
             raise ValueError(f"expected a band spectrum {self.band_shape}, got shape {band.shape}")
         tail = band.shape[3:]
         h, b, _ = self.band_shape
         iyz, ix = self._passes[1]
-        p = band.reshape(h, b, b, -1).transpose(1, 2, 3, 0).reshape(b, b, -1)  # (ky, kz, c, kx)
-        p = iyz @ p  # (ky, z, c, kx)
-        p = iyz @ p.reshape(b, -1)  # (y, z, c, kx)
-        # (x, y, z, c) directly: the GEMM reads the (.., kx) parts transposed.
-        return (ix @ p.view(float).reshape(-1, 2 * h).T).reshape(n, n, n, *tail)
+        p = iyz @ band.reshape(h, b, b, -1).transpose(2, 3, 1, 0).reshape(b, -1)  # (z, c, ky, kx)
+        p = p.reshape(n, -1, b, h).transpose(1, 2, 0, 3).reshape(-1, b, n * h)  # (c, ky, z, kx)
+        p = np.matmul(iyz, p)  # (c, y, z, kx)
+        # (c, x, yz): each real x GEMM reads the (.., kx) parts transposed.
+        p = np.matmul(ix, p.view(float).reshape(-1, n * n, 2 * h).transpose(0, 2, 1))
+        k = len(tail)
+        return p.reshape(*tail, n, n, n).transpose(k, k + 1, k + 2, *range(k))
 
     def quad(self, scalar_field: np.ndarray) -> float:
         """Grid quadrature of a scalar field over the box."""

@@ -71,12 +71,14 @@ _MODEL_KEYS = {
     "with_field": {"base", "chi_perp", "chi_par", "H"},
     "with_freedom": {"base", "b", "b_bar"},
 }
+# In the documented order, so a config missing several keys is told of the
+# first one whatever the string hash seed.
 _MODEL_REQUIRED = {
-    "ginzburg_landau": set(),
-    "simplified_oseen_frank": {"k1", "k2", "alpha"},
-    "scaled_oseen_frank": {"k1", "k2", "k3", "k4", "s"},
-    "with_field": {"chi_perp", "chi_par", "H"},
-    "with_freedom": {"b", "b_bar"},
+    "ginzburg_landau": (),
+    "simplified_oseen_frank": ("k1", "k2", "alpha"),
+    "scaled_oseen_frank": ("k1", "k2", "k3", "k4", "s"),
+    "with_field": ("chi_perp", "chi_par", "H"),
+    "with_freedom": ("b", "b_bar"),
 }
 
 _ASSERT_KEYS = {

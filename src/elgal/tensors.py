@@ -34,8 +34,9 @@ def frob(a: Mat3, b: Mat3) -> np.ndarray:
 def contract42(g: Tensor4, a: Mat3) -> Mat3:
     """(G:A)_ij = sum_kl G_ijkl A_kl."""
     if g.ndim == 4:
-        # A constant tensor acts as one 9x9 matrix on the flattened batch.
-        return (a.reshape(*a.shape[:-2], 9) @ g.reshape(9, 9).T).reshape(a.shape)
+        # A constant tensor acts as one 9x9 matrix on the (9, batch) planes,
+        # so a component-major field stays component-major.
+        return (g.reshape(9, 9) @ a.reshape(-1, 9).T).T.reshape(a.shape)
     return np.einsum("...ijkl,...kl->...ij", g, a)
 
 
@@ -78,13 +79,11 @@ def curl_quadratic_4() -> Tensor4:
 def curl_from_gradient(grad: Mat3) -> Vec3:
     """Curl of a vector field from its gradient matrix S_ij = d_j f_i.
 
-    (curl f)_i = eps_ijk d_j f_k = eps_ijk S_kj; returned componentwise.
+    (curl f)_i = eps_ijk d_j f_k = eps_ijk S_kj; returned componentwise,
+    laid out as a row of grad is, so a component-major field stays so.
     """
-    return np.stack(
-        [
-            grad[..., 2, 1] - grad[..., 1, 2],
-            grad[..., 0, 2] - grad[..., 2, 0],
-            grad[..., 1, 0] - grad[..., 0, 1],
-        ],
-        axis=-1,
-    )
+    curl = np.empty_like(grad[..., 0, :])
+    np.subtract(grad[..., 2, 1], grad[..., 1, 2], out=curl[..., 0])
+    np.subtract(grad[..., 0, 2], grad[..., 2, 0], out=curl[..., 1])
+    np.subtract(grad[..., 1, 0], grad[..., 0, 1], out=curl[..., 2])
+    return curl

@@ -35,6 +35,20 @@ def is_symmetric_pair(g):
     return bool(np.array_equal(g, np.swapaxes(np.swapaxes(g, 0, 2), 1, 3)))
 
 
+def component_major(field):
+    """A copy of a grid field (n, n, n, ...) laid out as the transforms
+    write fields: each component one contiguous n^3 plane."""
+    k = field.ndim - 3
+    planes = np.ascontiguousarray(field.transpose(*range(3, field.ndim), 0, 1, 2))
+    return planes.transpose(k, k + 1, k + 2, *range(k))
+
+
+def is_component_major(field):
+    """Whether each component of a grid field (n, n, n, ...) is one
+    contiguous n^3 plane, the planes in C order."""
+    return field.transpose(*range(3, field.ndim), 0, 1, 2).flags.c_contiguous
+
+
 def axes_points(grid):
     """The n grid coordinates along one axis of [0, 2pi)."""
     return np.arange(grid.n) * (2.0 * np.pi / grid.n)

@@ -19,11 +19,13 @@ from elgal.energies import ScaledOseenFrank, SimplifiedOseenFrank
 from elgal.tensors import identity_4
 from oracles import (
     axes_points,
+    component_major,
     divergence_of,
     elliptic_apply,
     fft,
     full_mesh_derivatives,
     gradient_of,
+    is_component_major,
     l2_norm,
     laplacian_of,
     manifest,
@@ -136,6 +138,33 @@ class TestBandTransforms:
             basis.grid.divergence(wide[:, 3:].reshape(-1, 3, 3))
 
 
+class TestFieldLayout:
+    """Grid fields are component-major: each component one contiguous n^3
+    plane, viewed as (n, n, n, C) with the last axis strided by n^3."""
+
+    @pytest.mark.parametrize("n", [8, 16, 32])
+    def test_irfft_writes_component_planes(self, n, rng):
+        grid = SpectralGrid(n)
+        h, b, _ = grid.band_shape
+        for c in (3, 12):
+            band = rng.standard_normal((h, b, b, c)) + 1j * rng.standard_normal((h, b, b, c))
+            field = grid.irfft(band)
+            assert field.shape == (n, n, n, c)
+            assert np.moveaxis(field, -1, 0).flags.c_contiguous
+        matrix = grid.irfft(band[..., 3:].reshape(h, b, b, 3, 3))
+        assert matrix.shape == (n, n, n, 3, 3)
+        assert is_component_major(matrix)
+
+    @pytest.mark.parametrize("n", [8, 16, 32])
+    def test_rfft_does_not_depend_on_the_input_layout(self, n, rng):
+        grid = SpectralGrid(n)
+        for c in (3, 12, 15):
+            field = component_major(rng.standard_normal((n, n, n, c)))
+            copy = np.ascontiguousarray(field)
+            assert copy.flags.c_contiguous and not field.flags.c_contiguous
+            assert grid.rfft(field).tobytes() == grid.rfft(copy).tobytes()
+
+
 def _traced_peak(transform, arg):
     """Peak bytes numpy allocates during one call (inputs not counted)."""
     transform(arg)  # the DFT matrices are built once, outside the trace
@@ -150,10 +179,12 @@ def _traced_peak(transform, arg):
 class TestPassWorkingSet:
     def test_passes_stay_near_the_field_size(self, rng):
         # gl-n32-full's transform grid: the forward's real x pass writes only
-        # the k_1 >= 0 half, so no pass outgrows the field it reads or writes.
+        # the k_1 >= 0 half, so no pass outgrows the field it reads or writes,
+        # in either layout.
         grid = SpectralGrid(32, 10)
         field = rng.standard_normal((32, 32, 32, 15))
         assert _traced_peak(grid.rfft, field) <= 1.5 * field.nbytes
+        assert _traced_peak(grid.rfft, component_major(field)) <= 1.5 * field.nbytes
         band = grid.rfft(field)[..., :12].copy()
         out_bytes = 32**3 * 12 * 8
         assert _traced_peak(grid.irfft, band) <= 2.0 * out_bytes

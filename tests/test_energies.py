@@ -26,9 +26,11 @@ from elgal.energies import (
 from elgal.tensors import contract42
 from oracles import (
     complex_step_gradients,
+    component_major,
     ericksen_pairing,
     full_mesh_derivatives,
     gateaux_check,
+    is_component_major,
     is_symmetric_pair,
     weak_form_q_hat,
 )
@@ -118,6 +120,16 @@ class TestRemainderGradients:
         assert np.max(np.abs(dh - cs_dh)) <= 1e-14 * np.max(np.abs(cs_dh))
         cs_rem = cs_ds - contract42(lam, s)
         assert np.max(np.abs(rem - cs_rem)) <= 1e-13 * np.max(np.abs(cs_ds))
+
+
+    @pytest.mark.parametrize("name", sorted(remainder_models()))
+    def test_keeps_the_grid_layout(self, name, rng):
+        # On component-major grid fields, as the transforms write them.
+        model = remainder_models()[name]
+        h = component_major(rng.uniform(-1, 1, (8, 8, 8, 3)))
+        s = component_major(rng.standard_normal((8, 8, 8, 3, 3)))
+        for out in (model.dF_dh(h, s), *model.remainder_gradients(h, s)):
+            assert is_component_major(out)
 
 
 class TestGradients:

@@ -41,6 +41,7 @@ from oracles import (
     gateaux_check,
     gradient_of,
     grid_assemble_rhs,
+    is_component_major,
     l2_norm,
 )
 
@@ -441,6 +442,30 @@ class TestFieldSharing:
         energy_residual_series(fresh)
         for rec, ref in zip(result.records, fresh, strict=True):
             assert np.array(rec.row()).tobytes() == np.array(ref.row()).tobytes()
+
+
+class TestFieldLayout:
+    """Every grid field of a state is component-major, as the transforms
+    write it: the pointwise layer then runs on contiguous n^3 planes."""
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            # The benchmark's three workloads.
+            _base_config(n=32, initial_velocity=("random", 6, 0.1), initial_director=("random", 7, 0.1)),
+            parse_config(CONFIGS / "sof_twist.cfg"),
+            dataclasses.replace(parse_config(CONFIGS / "scaled_anisotropy.cfg"), n=16),
+        ],
+        ids=["gl-n32-full", "sof-twist-n16", "scof-n16"],
+    )
+    def test_fields_are_component_major(self, cfg):
+        system = build_system(cfg)
+        fields = system.fields(initial_state(cfg, system))
+        n = system.grid.n
+        for name in ("d", "grad_d", "q", "v", "grad_v", "svd", "wvd"):
+            field = getattr(fields, name)
+            assert field.shape[:3] == (n, n, n)
+            assert is_component_major(field), name
 
 
 class TestTransformGrid:

@@ -14,7 +14,7 @@ from elgal.tensors import (
     trace_outer_4,
     transpose_4,
 )
-from oracles import is_symmetric_pair, sym_skw
+from oracles import component_major, is_component_major, is_symmetric_pair, sym_skw
 
 finite = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
 mat3 = arrays(np.float64, (3, 3), elements=finite)
@@ -167,3 +167,17 @@ def test_batched_operations_match_loop(rng):
     batched = contract42(g, a)
     for i in range(7):
         assert np.allclose(batched[i], contract42(g, a[i]), atol=0)
+
+
+def test_component_major_fields_stay_component_major(rng):
+    # Grid fields come out of the transforms component-major; the constant
+    # contraction and the curl keep that layout and the values.
+    s = component_major(rng.standard_normal((8, 8, 8, 3, 3)))
+    g = rng.standard_normal((3, 3, 3, 3))
+    got = contract42(g, s)
+    want = np.einsum("ijkl,...kl->...ij", g, s)
+    assert is_component_major(got)
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+    curl = curl_from_gradient(s)
+    assert is_component_major(curl)
+    assert np.array_equal(curl, curl_from_gradient(np.ascontiguousarray(s)))
