@@ -184,16 +184,25 @@ class SpectralGrid:
     def rfft(self, field: np.ndarray) -> np.ndarray:
         """Band spectrum of a real field (n, n, n, ...), normalized so that
         field(x) = sum_k spec(k) e^{i k.x} for a field on the band.  A
-        component-major field is read in place; the x pass's matmul copies
-        a field of any other layout to that order, with the same result."""
+        component-major field is read in place.  A field of any other layout
+        goes through its C-order copy (none for a C-order field) in one x
+        GEMM, and only the smaller (yz, c, kx) result is reordered, so every
+        GEMM operand is BLAS-readable on any NumPy version (planes with no
+        unit stride would take NumPy's non-BLAS loop on some).  Both layouts
+        give the byte-identical band."""
         n = self.n
         if field.shape[:3] != (n, n, n):
             raise ValueError(f"expected a field on the {n}^3 grid, got shape {field.shape}")
         h, b, _ = self.band_shape
         fx, fyz = self._passes[0]
-        # One real x GEMM per (x, yz) plane, read transposed.
-        p = np.matmul(field.reshape(n, n * n, -1).transpose(2, 1, 0), fx).view(complex)  # (c, y, z, kx)
-        p = np.matmul(fyz, p.reshape(-1, n, n * h))  # (c, ky, z, kx)
+        planes = field.reshape(n, n * n, -1)  # (x, yz, c)
+        if planes.transpose(2, 0, 1).flags.c_contiguous:
+            # One real x GEMM per (x, yz) plane, read transposed.
+            p = np.matmul(planes.transpose(2, 1, 0), fx)  # (c, yz, kx)
+        else:
+            p = planes.reshape(n, -1).T @ fx  # (yz, c, kx)
+            p = np.ascontiguousarray(p.reshape(n * n, -1, 2 * h).transpose(1, 0, 2))
+        p = np.matmul(fyz, p.view(complex).reshape(-1, n, n * h))  # (c, ky, z, kx)
         p = fyz @ p.reshape(-1, b, n, h).transpose(2, 0, 1, 3).reshape(n, -1)  # (kz, c, ky, kx)
         p = p.reshape(b, -1, b, h).transpose(3, 2, 0, 1)
         return np.ascontiguousarray(p).reshape(h, b, b, *field.shape[3:])

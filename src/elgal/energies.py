@@ -138,11 +138,9 @@ class FreeEnergyModel(ABC):
 
         R is the part of dF_dS that the solver pairs on the grid; the
         principal part Lam : S it applies through the eigenbasis.  This
-        default is for energies whose dF_dS is exactly Lam : S, so R = 0,
-        laid out in memory as S is.
+        default is for energies whose dF_dS is exactly Lam : S, so R = 0.
         """
-        shape = np.broadcast_shapes(h.shape[:-1], s.shape[:-2]) + (3, 3)
-        return self.dF_dh(h, s), np.zeros_like(s, dtype=float, shape=shape)
+        return self.dF_dh(h, s), np.zeros(np.broadcast_shapes(h.shape[:-1], s.shape[:-2]) + (3, 3))
 
     def dF_dS(self, h: Vec3, s: Mat3) -> Mat3:
         return contract42(self.d2F_dS2_const(), s) + self.remainder_gradients(h, s)[1]
@@ -220,11 +218,7 @@ class WithField(FreeEnergyModel):
 
     def _field_force(self, h):
         hdot = np.einsum("...i,...i->...", h, self.field)
-        w = 2.0 * (self.chi_par - self.chi_perp) * hdot[..., None]
-        # Written in h's memory order; a scalar field times a constant
-        # vector would otherwise come out C-order.
-        force = np.empty_like(h, dtype=w.dtype, shape=np.broadcast_shapes(h.shape, self.field.shape))
-        return np.multiply(w, self.field, out=force)
+        return 2.0 * (self.chi_par - self.chi_perp) * hdot[..., None] * self.field
 
     def dF_dh(self, h, s):
         return self.base.dF_dh(h, s) - self._field_force(h)
@@ -284,9 +278,7 @@ class WithFreedom(FreeEnergyModel):
 
     def remainder_gradients(self, h, s):
         dh, rem = self.base.remainder_gradients(h, s)
-        # h_i b_j in R's memory order.
-        hb = np.multiply(h[..., :, None], self.b, out=np.empty_like(rem, dtype=np.result_type(h, self.b)))
-        return self._shift_dh(dh, h, s), rem - hb
+        return self._shift_dh(dh, h, s), rem - np.einsum("...i,j->...ij", h, self.b)
 
     def d2F_dS2_const(self):
         return self.base.d2F_dS2_const()

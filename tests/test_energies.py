@@ -121,14 +121,18 @@ class TestRemainderGradients:
         cs_rem = cs_ds - contract42(lam, s)
         assert np.max(np.abs(rem - cs_rem)) <= 1e-13 * np.max(np.abs(cs_ds))
 
-
-    @pytest.mark.parametrize("name", sorted(remainder_models()))
+    @pytest.mark.parametrize("name", ["gl", "sof", "scaled_of"])
     def test_keeps_the_grid_layout(self, name, rng):
-        # On component-major grid fields, as the transforms write them.
-        model = remainder_models()[name]
+        # What energy_gradient transforms, on component-major grid fields as
+        # the transforms write them, for the energies the benchmark runs.
+        model = builtin_models()[name]
         h = component_major(rng.uniform(-1, 1, (8, 8, 8, 3)))
         s = component_major(rng.standard_normal((8, 8, 8, 3, 3)))
-        for out in (model.dF_dh(h, s), *model.remainder_gradients(h, s)):
+        if model.has_theta or model.has_mixed:
+            outs = model.remainder_gradients(h, s)
+        else:
+            outs = (model.dF_dh(h, s),)
+        for out in outs:
             assert is_component_major(out)
 
 

@@ -22,6 +22,7 @@ from elgal.energies import (
     WithFreedom,
     variational_derivative,
 )
+from elgal.leslie import coupling_stress
 from elgal.scenarios import _base_config
 from elgal.simulate import (
     BlowUpError,
@@ -458,7 +459,7 @@ class TestFieldLayout:
         ],
         ids=["gl-n32-full", "sof-twist-n16", "scof-n16"],
     )
-    def test_fields_are_component_major(self, cfg):
+    def test_fields_are_component_major(self, cfg, monkeypatch):
         system = build_system(cfg)
         fields = system.fields(initial_state(cfg, system))
         n = system.grid.n
@@ -466,6 +467,19 @@ class TestFieldLayout:
             field = getattr(fields, name)
             assert field.shape[:3] == (n, n, n)
             assert is_component_major(field), name
+        assert is_component_major(coupling_stress(system.coeffs, fields.d, fields.q, fields.svd))
+        # The 15-component bundle assemble_rhs hands to rfft.
+        bundles = []
+        rfft = SpectralGrid.rfft
+
+        def recording_rfft(grid, field):
+            bundles.append(field)
+            return rfft(grid, field)
+
+        monkeypatch.setattr(SpectralGrid, "rfft", recording_rfft)
+        system.assemble_rhs(initial_state(cfg, system), fields)
+        assert [b.shape for b in bundles] == [(n, n, n, 15)]
+        assert is_component_major(bundles[0])
 
 
 class TestTransformGrid:
