@@ -18,12 +18,11 @@ Coefficient vectors are real; ``analyze`` is the grid-quadrature L^2
 projection onto the retained span and ``synthesize`` its right inverse.
 Both move coefficients through the grid's band spectrum, the entries with
 |k|_inf <= k_max of the half spectrum k_1 >= 0, which holds every retained
-(canonical) wavevector (see ``SpectralGrid`` and ``_TrigBasis``): the
-scatter accumulates straight into the band and forms the gradient spectra
-there, and the one gather, ``analyze_spec_half``, contracts once per
-retained (wavevector, branch) pair, whose cosine and sine modes take the
-real and imaginary part of the same value.  A stress T pairs through its
-band divergence, (T : grad w_i) = -(div T, w_i), in that same gather; the
+(canonical) wavevector (see ``SpectralGrid`` and ``_TrigBasis``).  Each
+basis scatters into the band and gathers from it by two sparse operators
+built once, and the gradient spectra are formed on the band; the one
+gather is ``analyze_spec_half``.  A stress T pairs through its band
+divergence, (T : grad w_i) = -(div T, w_i), in that same gather; the
 gradient and the divergence share one derivative table, ``band_ik``.  The
 band goes to and from the grid by three per-axis DFT-matrix passes
 (``SpectralGrid.rfft`` and ``irfft``), so no transform touches the entries
@@ -41,6 +40,13 @@ trailing-axis indexing and still runs on whole planes: at 32^3 an
 interleaved rows of 3 and 9 values.  A hot-path operation that allocates
 a C-order result from such fields (``np.stack(..., axis=-1)``, a matmul
 over the trailing axis) would mix the layouts downstream, so there is none.
+
+Band spectra are component-major too: ``rfft`` and the scatter write each
+component as one contiguous run of the E band entries behind the same
+(k_max+1, b, b, C) shape, so a band flattened to (E, C) is the transpose
+of a C-order (C, E) array.  The scatter, the gradient spectra,
+``divergence`` and the gather run on those contiguous rows; a C-order band
+gives them the same bytes.
 
 Quadrature exactness and the transform grid
 -------------------------------------------
@@ -79,6 +85,7 @@ from functools import cached_property
 from typing import Optional
 
 import numpy as np
+from scipy import sparse
 
 from .tensors import Tensor4
 
@@ -92,9 +99,9 @@ class SpectralGrid:
     k_max and |k_2|, |k_3| <= k_max; the half axis is the first, and
     wavenumber k of the last two axes sits at index k mod b.  ``k_max``
     defaults to the builders' ``cutoff``.  A band wider than the grid would
-    wrap onto itself and is refused.  Grid fields (n, n, n, ...) are
-    component-major, each component one contiguous n^3 plane (see the module
-    docstring): ``irfft`` writes them and ``rfft`` reads them in place."""
+    wrap onto itself and is refused.  Bands and grid fields (n, n, n, ...)
+    are component-major (see the module docstring): ``rfft`` reads fields in
+    place and writes bands, ``irfft`` writes fields."""
 
     n: int
     k_max: Optional[int] = None
@@ -141,17 +148,19 @@ class SpectralGrid:
 
     @cached_property
     def band_ik(self) -> np.ndarray:
-        """(E, 3) symbol 1j k of the flattened band, for gradients and ``divergence``."""
-        return 1j * self.band_wavevectors.reshape(-1, 3)
+        """(3, E) symbol 1j k of the flattened band, for gradients and ``divergence``."""
+        return 1j * np.ascontiguousarray(self.band_wavevectors.reshape(-1, 3).T)
 
     def _check_flat(self, band_flat: np.ndarray):
-        if band_flat.shape[0] != len(self.band_ik):
-            raise ValueError(f"expected the {len(self.band_ik)} band entries, got {band_flat.shape[0]}")
+        n_e = self.band_ik.shape[1]
+        if band_flat.shape[0] != n_e:
+            raise ValueError(f"expected the {n_e} band entries, got {band_flat.shape[0]}")
 
     def divergence(self, band_flat: np.ndarray) -> np.ndarray:
-        """Row divergence sum_a d_a T_ia of a band flattened to (E, 3, 3), as (E, 3)."""
+        """Row divergence sum_a d_a T_ia of a band flattened to (E, 3, 3), as
+        a component-major (E, 3)."""
         self._check_flat(band_flat)
-        return np.einsum("eia,ea->ei", band_flat, self.band_ik)
+        return np.einsum("iae,ae->ie", band_flat.transpose(1, 2, 0), self.band_ik).T
 
     @cached_property
     def _passes(self):
@@ -204,8 +213,9 @@ class SpectralGrid:
             p = np.ascontiguousarray(p.reshape(n * n, -1, 2 * h).transpose(1, 0, 2))
         p = np.matmul(fyz, p.view(complex).reshape(-1, n, n * h))  # (c, ky, z, kx)
         p = fyz @ p.reshape(-1, b, n, h).transpose(2, 0, 1, 3).reshape(n, -1)  # (kz, c, ky, kx)
-        p = p.reshape(b, -1, b, h).transpose(3, 2, 0, 1)
-        return np.ascontiguousarray(p).reshape(h, b, b, *field.shape[3:])
+        p = np.ascontiguousarray(p.reshape(b, -1, b, h).transpose(1, 3, 2, 0))  # (c, kx, ky, kz)
+        k = field.ndim - 3
+        return p.reshape(*field.shape[3:], h, b, b).transpose(k, k + 1, k + 2, *range(k))
 
     def irfft(self, band: np.ndarray) -> np.ndarray:
         """Real field (n, n, n, ...) of a band spectrum, component-major.  As
@@ -268,8 +278,10 @@ def _norm(v: np.ndarray) -> np.ndarray:
 
 
 def _sig(x: np.ndarray) -> np.ndarray:
-    """Round to 11 significant digits so analytically equal eigenvalues tie."""
-    return np.char.mod("%.10e", x).astype(float)
+    """Round to 11 significant digits so analytically equal eigenvalues tie;
+    only the distinct values go through the string formatting."""
+    distinct, inverse = np.unique(x, return_inverse=True)
+    return np.char.mod("%.10e", distinct).astype(float)[inverse]
 
 
 def _eigenspace_frames(sub: np.ndarray) -> np.ndarray:
@@ -342,20 +354,20 @@ def _leading_modes(modes: np.ndarray, key: np.ndarray, n_modes: Optional[int]) -
 class _TrigBasis:
     """A basis over a ``MODE_DTYPE`` array, whose columns it keeps contiguous.
 
-    Hot-path transforms run on the grid's band spectrum (see
-    ``SpectralGrid``), which holds every retained wavevector, through two
-    tables, built once, that index the band:
+    Hot-path transforms run on the grid's component-major band spectrum
+    (see ``SpectralGrid``), viewed as 6 E floats, through two CSR operators
+    built once.  Each mode owns three float slots: its vector's components
+    at the entry that stores its wavevector k (modes need k_1 >= 0, as the
+    builders' canonical wavevectors have), real parts for a cosine mode and
+    imaginary parts for a sine mode.
 
-    * the scatter slots: each mode's representative entry, the one that
-      stores its wavevector k (modes need k_1 >= 0, as the builders'
-      canonical wavevectors have), and, for modes with k_1 = 0, the
-      in-plane mirror entry -k.  The scatter accumulates there and forms
-      the gradient spectra over the whole band;
-    * the pairs: runs of consecutive modes with the same wavevector and
-      vector, i.e. the cosine and sine mode of one (wavevector, branch),
-      ordered by first mode.  Both read the same band entry with the same
-      vector, so the gather contracts once per pair and each mode takes the
-      real or imaginary part of its pair's value."""
+    * The scatter S (6 E x M) writes the band as S @ (coefs * weight).
+      Column i holds vec_i at mode i's slots, negated for a sine mode
+      (which adds -1j times its weight), and for k_1 = 0, k != 0 also
+      +vec_i at the same slots of the mirror entry -k, which holds the
+      conjugate.
+    * The gather G (M x 6 E) holds vec_i at mode i's slots; G @ band, times
+      one scale per mode, gives the coefficients."""
 
     def __init__(self, grid: SpectralGrid, modes: np.ndarray):
         self.grid = grid
@@ -374,39 +386,37 @@ class _TrigBasis:
             raise ValueError(f"mode wavevector k={tuple(k.tolist())} has k_1 < 0, off the band")
         self.is_const = (kv == 0).all(axis=1)
         shape = grid.band_shape
-        b = shape[1]
+        n_e = int(np.prod(shape))
         # k_1 lies in [0, k_max], so k mod b indexes all three axes.
-        rep_flat = np.ravel_multi_index((kv % b).T, shape)
-        self._plane = (kv[:, 0] == 0) & ~self.is_const
-        mirror_flat = np.ravel_multi_index((-kv[self._plane] % b).T, shape)
+        rep = np.ravel_multi_index((kv % shape[1]).T, shape)
+        plane = (kv[:, 0] == 0) & ~self.is_const
+        mirror = np.ravel_multi_index((-kv[plane] % shape[1]).T, shape)
+        sin = (self.parity != COS).astype(np.int64)
         v = grid.volume
-        # L^2-normalization: sqrt(2/V) for travelling modes, 1/sqrt(V) for
-        # constants (directors only).
-        self._scale = np.where(self.is_const, 1.0 / np.sqrt(v), np.sqrt(2.0 / v))
-        # The scatter fills the band viewed as float64: component c of entry
-        # e has its real part in slot 6 e + 2 c and its imaginary part in
-        # the next.  A cos mode adds its weight to the real part; a sin mode
-        # adds -1j times it, so -weight to the imaginary part, or +weight
-        # at a mirror, which holds the conjugate.
-        self._half = np.where(self.is_const, 1.0, 0.5)[:, None]
-        sin = self.parity != COS
-        self._sign = np.where(sin, -1.0, 1.0)[:, None]
-        entry = np.concatenate([rep_flat, mirror_flat])
-        self._slots = (
-            (6 * entry + np.concatenate([sin, sin[self._plane]]))[:, None] + 2 * np.arange(3)
-        ).astype(np.int32).ravel()
-        # A pair starts wherever the wavevector (its entry index) or the
-        # vector changes from the previous mode.
-        new_vec = self.vecs[1:] != self.vecs[:-1]
-        new_pair = np.ones(self.size, dtype=bool)
-        new_pair[1:] = (rep_flat[1:] != rep_flat[:-1]) | new_vec[:, 0] | new_vec[:, 1] | new_vec[:, 2]
-        first = np.flatnonzero(new_pair)
-        # Mode i of pair p reads entry 2 p + parity of the per-pair
-        # (real part, imaginary part) values, flattened.
-        self._part = (2 * (np.cumsum(new_pair) - 1) + sin).astype(np.int32)
-        self._pair_flat = rep_flat[first]
-        self._pair_vecs = self.vecs[first]
-        self._pair_const = self.is_const[first]
+        # L^2-normalization sqrt(2/V), shared by the entries +-k, or 1/sqrt(V)
+        # for constants (directors only).  A gathered cos mode is root times
+        # the real part of its contraction with the band (sqrt(V) for a
+        # constant), a sin mode -root times the imaginary part.
+        self._weight = np.where(self.is_const, 1.0 / np.sqrt(v), 0.5 * np.sqrt(2.0 / v))
+        root = np.sqrt(2.0 * v)
+        self._gather_scale = np.where(self.is_const, np.sqrt(v), np.where(sin, -root, root))
+        # Float slot 2 (c E + e) + part holds component c of entry e, its real
+        # (part 0) or imaginary (part 1) part; a mode's slots are at its
+        # entry, in the part of its parity.
+        key = 2 * rep + sin
+        slots = (key[:, None] + 2 * n_e * np.arange(3)).astype(np.int32).ravel()
+        indptr = np.arange(0, 3 * self.size + 1, 3, dtype=np.int32)
+        self._gather = sparse.csr_array((self.vecs.ravel(), slots, indptr), shape=(self.size, 6 * n_e))
+        # Each scatter row sums its modes in order, representatives before
+        # mirrors, as adding them entry by entry does; one stable sort by
+        # slot serves all three components.
+        keys = np.concatenate([key, 2 * mirror + sin[plane]])
+        order = np.argsort(keys, kind="stable")
+        cols = np.concatenate([np.arange(self.size), np.flatnonzero(plane)])[order].astype(np.int32)
+        vals = np.concatenate([self.vecs * np.where(sin, -1.0, 1.0)[:, None], self.vecs[plane]])[order]
+        indptr = np.zeros(6 * n_e + 1, np.int32)
+        np.cumsum(np.tile(np.bincount(keys, minlength=2 * n_e), 3), out=indptr[1:], dtype=np.int32)
+        self._scatter = sparse.csr_array((vals.T.ravel(), np.tile(cols, 3), indptr), shape=(6 * n_e, self.size))
 
     @property
     def k_max(self) -> int:
@@ -428,19 +438,13 @@ class _TrigBasis:
         mode's value and gradient only, so no higher derivative is ever
         formed."""
         self._check_coefs(coefs)
-        w = (coefs * self._scale)[:, None] * self.vecs
-        w *= self._half
-        weights = np.empty(len(self._slots))
-        np.multiply(w, self._sign, out=weights[: w.size].reshape(w.shape))
-        np.compress(self._plane, w, axis=0, out=weights[w.size :].reshape(-1, 3))
-        s = np.bincount(self._slots, weights, minlength=6 * len(self.grid.band_ik))
-        s = s.view(complex).reshape(-1, 3)
+        s = (self._scatter @ (coefs * self._weight)).view(complex).reshape(3, -1)
         if gradient:
-            spec = np.empty((len(s), 12), complex)
-            spec[:, :3] = s
-            np.multiply(s[:, :, None], self.grid.band_ik[:, None], out=spec[:, 3:].reshape(-1, 3, 3))
+            spec = np.empty((12, s.shape[1]), complex)
+            spec[:3] = s
+            np.multiply(s[:, None], self.grid.band_ik, out=spec[3:].reshape(3, 3, -1))
             s = spec
-        return s.reshape(*self.grid.band_shape, -1)
+        return s.reshape(-1, *self.grid.band_shape).transpose(1, 2, 3, 0)
 
     def synthesize(self, coefs: np.ndarray) -> np.ndarray:
         return self.grid.irfft(self.synthesize_spec_half(coefs))
@@ -456,14 +460,8 @@ class _TrigBasis:
         """Coefficients from an already-transformed band, flattened to (E, 3): the
         one gather, which a stress reaches through ``SpectralGrid.divergence``."""
         self.grid._check_flat(band_flat)
-        z = np.einsum("pc,pc->p", self._pair_vecs, band_flat[self._pair_flat])
-        v = self.grid.volume
-        root = np.sqrt(2.0 * v)
-        # cos: root Re z (sqrt(V) Re z for a constant); sin: -root Im z.
-        parts = z.view(float).reshape(-1, 2)
-        parts[:, 0] *= np.where(self._pair_const, np.sqrt(v), root)
-        parts[:, 1] *= -root
-        return np.take(parts, self._part)
+        parts = np.ascontiguousarray(band_flat.T, dtype=complex).view(float).reshape(-1)
+        return self._gather_scale * (self._gather @ parts)
 
     def project_stress_spec_half(self, band_flat: np.ndarray) -> np.ndarray:
         """Pairings (T : grad w_i) = -(div T, w_i) from a transformed band,
