@@ -198,7 +198,13 @@ class SpectralGrid:
         GEMM, and only the smaller (yz, c, kx) result is reordered, so every
         GEMM operand is BLAS-readable on any NumPy version (planes with no
         unit stride would take NumPy's non-BLAS loop on some).  Both layouts
-        give the byte-identical band."""
+        give the byte-identical band.
+
+        The x pass's output holds everything the later passes read, so
+        ``rfft`` drops its references to ``field`` right after it: a field
+        whose only reference is this argument (a temporary such as
+        ``grid.rfft(bundle())``) is freed before the y and z passes
+        allocate their buffers."""
         n = self.n
         if field.shape[:3] != (n, n, n):
             raise ValueError(f"expected a field on the {n}^3 grid, got shape {field.shape}")
@@ -211,11 +217,13 @@ class SpectralGrid:
         else:
             p = planes.reshape(n, -1).T @ fx  # (yz, c, kx)
             p = np.ascontiguousarray(p.reshape(n * n, -1, 2 * h).transpose(1, 0, 2))
+        tail = field.shape[3:]
+        del field, planes
         p = np.matmul(fyz, p.view(complex).reshape(-1, n, n * h))  # (c, ky, z, kx)
         p = fyz @ p.reshape(-1, b, n, h).transpose(2, 0, 1, 3).reshape(n, -1)  # (kz, c, ky, kx)
         p = np.ascontiguousarray(p.reshape(b, -1, b, h).transpose(1, 3, 2, 0))  # (c, kx, ky, kz)
-        k = field.ndim - 3
-        return p.reshape(*field.shape[3:], h, b, b).transpose(k, k + 1, k + 2, *range(k))
+        k = len(tail)
+        return p.reshape(*tail, h, b, b).transpose(k, k + 1, k + 2, *range(k))
 
     def irfft(self, band: np.ndarray) -> np.ndarray:
         """Real field (n, n, n, ...) of a band spectrum, component-major.  As

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensors import Mat3, Vec3, outer, sym
+from .tensors import Mat3, Vec3, sym
 
 
 @dataclass(frozen=True)
@@ -157,7 +157,9 @@ def strain_rates(grad_v: Mat3, d: Vec3) -> tuple[Vec3, Vec3]:
     return svd, gd
 
 
-def coupling_stress(c: LeslieCoefficients, d: Vec3, q: Vec3, svd: Vec3) -> Mat3:
+def coupling_stress(
+    c: LeslieCoefficients, d: Vec3, q: Vec3, svd: Vec3, out: Mat3 | None = None
+) -> Mat3:
     """The stress of ``leslie_stress_discrete`` without its mu4 Sv term,
 
     T - mu4 Sv = mu1 (d.Sv d) d x d - gamma(mu2+mu3) (d x q)_sym
@@ -165,14 +167,25 @@ def coupling_stress(c: LeslieCoefficients, d: Vec3, q: Vec3, svd: Vec3) -> Mat3:
 
     from d, q and svd = Sv d.  The solver pairs mu4 Sv with the velocity
     modes in closed form, so only this part goes through the grid.
+
+    As with NumPy's ``out=``, the stress is written into ``out`` when it is
+    given and returned; otherwise it is allocated component-major (each
+    entry one contiguous plane).
     """
-    d_svd = np.einsum("...i,...i->...", d, svd)
     # Grouped as d x u + w x d to keep temporaries down; expanding u and w
     # reproduces the sym/skw combination above term by term.
     a = c.gamma * (c.mu2 + c.mu3)
+    d_svd = np.einsum("...i,...i->...", d, svd)
     u = -0.5 * (a + 1.0) * q + 0.5 * c.anisotropy * svd + (c.mu1 * d_svd)[..., None] * d
+    del d_svd
+    if out is None:
+        k = d.ndim - 1
+        out = np.empty((3, 3, *d.shape[:-1])).transpose(*range(2, k + 2), 0, 1)
+    np.einsum("...i,...j->...ij", d, u, out=out)
+    del u
     w = -0.5 * (a - 1.0) * q + 0.5 * c.anisotropy * svd
-    return outer(d, u) + outer(w, d)
+    out += np.einsum("...i,...j->...ij", w, d)
+    return out
 
 
 def leslie_stress_discrete(c: LeslieCoefficients, d: Vec3, q: Vec3, grad_v: Mat3) -> Mat3:

@@ -156,29 +156,40 @@ class GalerkinSystem:
     # -- vector field ---------------------------------------------------------
     def assemble_rhs(self, state: SpectralState, fields: StateFields | None = None):
         """(dv_hat, dd_hat) at ``state``; ``fields`` is ``self.fields(state)``
-        when the caller already has it."""
+        when the caller already has it.
+
+        Every quadrature pairing goes through one forward transform of the
+        15-component bundle from ``_pairing_bundle``.  ``rfft``'s argument is
+        the bundle's only reference, so ``rfft`` frees its 15 planes after
+        its x pass, before the y and z passes allocate theirs."""
         c = self.coeffs
         grid = self.grid
-        n = grid.n
         if fields is None:
             fields = self.fields(state)
-        d, grad_d, q_hat, q, v, grad_v, svd, wvd = fields
-        transport = np.einsum("...ia,...a->...i", grad_d, v) - wvd + c.lam * svd
-        convection = np.einsum("...ia,...a->...i", grad_v, v)
-        director_force = np.einsum("...ji,...j->...i", grad_d, q)
-        # The mu4 Sv part of the stress is the diagonal lin_v, added below.
-        stress = coupling_stress(c, d, q, svd)
-
-        # One fused forward transform for every quadrature pairing.
-        bundle = np.concatenate(
-            [transport, director_force - convection, stress.reshape(n, n, n, 9)], axis=-1
-        )
-        spec = grid.rfft(bundle).reshape(-1, 15)
-        dd_hat = -self.director_basis.analyze_spec_half(spec[:, 0:3]) - c.gamma * q_hat
+        spec = grid.rfft(self._pairing_bundle(fields)).reshape(-1, 15)
+        dd_hat = -self.director_basis.analyze_spec_half(spec[:, 0:3]) - c.gamma * fields.q_hat
         force = spec[:, 3:6] + grid.divergence(spec[:, 6:15].reshape(-1, 3, 3))
         dv_hat = self.forcing_v_hat + self.lin_v * state.v_hat
         dv_hat += self.velocity_basis.analyze_spec_half(force)
         return dv_hat, dd_hat
+
+    def _pairing_bundle(self, fields: StateFields) -> np.ndarray:
+        """Transport, director force - convection and the coupling stress,
+        written in place into one component-major (n, n, n, 15) field."""
+        c = self.coeffs
+        n = self.grid.n
+        d, grad_d, _, q, v, grad_v, svd, wvd = fields
+        planes = np.empty((15, n, n, n))
+        transport, force = planes[0:3].transpose(1, 2, 3, 0), planes[3:6].transpose(1, 2, 3, 0)
+        np.einsum("...ia,...a->...i", grad_d, v, out=transport)
+        transport -= wvd
+        transport += c.lam * svd
+        np.einsum("...ji,...j->...i", grad_d, q, out=force)
+        force -= np.einsum("...ia,...a->...i", grad_v, v)  # convection
+        # The mu4 Sv part of the stress is the diagonal lin_v of assemble_rhs.
+        stress = planes[6:15].reshape(3, 3, n, n, n).transpose(2, 3, 4, 0, 1)
+        coupling_stress(c, d, q, svd, out=stress)
+        return planes.transpose(1, 2, 3, 0)
 
     def _nonlinear(self, v_hat, d_hat, rhs=None):
         dv, dd = self.assemble_rhs(SpectralState(0.0, v_hat, d_hat)) if rhs is None else rhs

@@ -1,26 +1,30 @@
 """Reference operators for the tests.
 
-A few small tensor and grid helpers come first.  The solver works on
-band spectra only (the real-transform half spectrum cut to the retained
-band); the next helpers apply derivatives through the full
-``scipy.fft.fftn`` spectrum instead, so the tests can check the Galerkin
-bases against an independent path.  The next ones move coefficients to and
-from the band the long way: the derivative spectra formed over the whole
-band mesh (the only source of second derivatives), and one contraction per
-mode rather than per (wavevector, branch) pair.  The next ones pair every term on the grid, the
-principal parts included, which the solver applies as eigenbasis
-diagonals.  The last ones are the other two forms of the Leslie stress, a
-complex-step derivative of the energy density, the elastic stress with its
-pairing and the strong-form cancellation identity, and a centered
-difference of the energy functional against the solver's q_hat.
+A few small tensor and grid helpers, and a tracemalloc peak of one call,
+come first.  The solver works on band spectra only (the real-transform
+half spectrum cut to the retained band); the next helpers apply
+derivatives through the full ``scipy.fft.fftn`` spectrum instead, so the
+tests can check the Galerkin bases against an independent path.  The next
+ones move coefficients to and from the band the long way: the derivative
+spectra formed over the whole band mesh (the only source of second
+derivatives), and one contraction per mode rather than per (wavevector,
+branch) pair.  The next ones pair every term on the grid, the principal
+parts included, which the solver applies as eigenbasis diagonals, and
+build the right-hand side's 15-component bundle from separate arrays.  The
+last ones are the other two forms of the Leslie stress, a complex-step
+derivative of the energy density, the elastic stress with its pairing and
+the strong-form cancellation identity, and a centered difference of the
+energy functional against the solver's q_hat.
 """
+
+import tracemalloc
 
 import numpy as np
 import scipy.fft
 
 from elgal.basis import COS
 from elgal.energies import energy_gradient, total_energy, variational_derivative
-from elgal.leslie import leslie_stress_discrete
+from elgal.leslie import coupling_stress, leslie_stress_discrete
 from elgal.tensors import contract42, outer, sym
 
 
@@ -47,6 +51,19 @@ def is_component_major(field):
     """Whether each component of a grid field (n, n, n, ...) is one
     contiguous n^3 plane, the planes in C order."""
     return field.transpose(*range(3, field.ndim), 0, 1, 2).flags.c_contiguous
+
+
+def traced_peak(call, arg):
+    """Peak bytes numpy allocates during one ``call(arg)`` (``arg`` not
+    counted).  A first untraced call builds what is cached, such as the
+    DFT matrices."""
+    call(arg)
+    tracemalloc.start()
+    try:
+        call(arg)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def axes_points(grid):
@@ -230,6 +247,22 @@ def grid_assemble_rhs(system, state):
         - vel.project_stress_spec_half(spec[:, 6:15].reshape(-1, 3, 3))
     )
     return dv_hat, dd_hat
+
+
+def pairing_bundle(system, fields):
+    """The 15-component bundle ``assemble_rhs`` transforms, built from
+    separate arrays: transport, director force - convection and the coupling
+    stress (without ``out``), joined by ``np.concatenate``."""
+    c = system.coeffs
+    n = system.grid.n
+    d, grad_d, _, q, v, grad_v, svd, wvd = fields
+    transport = np.einsum("...ia,...a->...i", grad_d, v) - wvd + c.lam * svd
+    convection = np.einsum("...ia,...a->...i", grad_v, v)
+    director_force = np.einsum("...ji,...j->...i", grad_d, q)
+    stress = coupling_stress(c, d, q, svd)
+    return np.concatenate(
+        [transport, director_force - convection, stress.reshape(n, n, n, 9)], axis=-1
+    )
 
 
 def sym_grad_sq_quadrature(basis, v_hat):

@@ -1,3 +1,4 @@
+import sys
 import tracemalloc
 
 import numpy as np
@@ -31,6 +32,7 @@ from oracles import (
     manifest,
     per_mode_analyze,
     per_mode_stress,
+    traced_peak,
 )
 
 SOF_LAM = SimplifiedOseenFrank(2.0, 1.0, 0.5, eps=None).d2F_dS2_const()
@@ -165,17 +167,6 @@ class TestFieldLayout:
             assert grid.rfft(field).tobytes() == grid.rfft(copy).tobytes()
 
 
-def _traced_peak(transform, arg):
-    """Peak bytes numpy allocates during one call (inputs not counted)."""
-    transform(arg)  # the DFT matrices are built once, outside the trace
-    tracemalloc.start()
-    try:
-        transform(arg)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 class TestPassWorkingSet:
     def test_passes_stay_near_the_field_size(self, rng):
         # gl-n32-full's transform grid: the forward's real x pass writes only
@@ -183,11 +174,25 @@ class TestPassWorkingSet:
         # in either layout.
         grid = SpectralGrid(32, 10)
         field = rng.standard_normal((32, 32, 32, 15))
-        assert _traced_peak(grid.rfft, field) <= 1.5 * field.nbytes
-        assert _traced_peak(grid.rfft, component_major(field)) <= 1.5 * field.nbytes
+        assert traced_peak(grid.rfft, field) <= 1.5 * field.nbytes
+        assert traced_peak(grid.rfft, component_major(field)) <= 1.5 * field.nbytes
         band = grid.rfft(field)[..., :12].copy()
         out_bytes = 32**3 * 12 * 8
-        assert _traced_peak(grid.irfft, band) <= 2.0 * out_bytes
+        assert traced_peak(grid.irfft, band) <= 2.0 * out_bytes
+
+    @pytest.mark.skipif(
+        sys.version_info < (3, 11), reason="before 3.11 the caller holds its arguments during a call"
+    )
+    def test_rfft_frees_its_input_after_the_x_pass(self, rng):
+        # A field made inside the traced call has rfft's argument as its only
+        # reference, so rfft frees it before the y pass allocates: the peak
+        # is the field and the x pass's (c, yz, 2 (k_max+1)) output together.
+        grid = SpectralGrid(32, 10)
+        shape = (15, 32, 32, 32)
+        field_bytes = 8 * np.prod(shape)
+        x_out_bytes = 8 * 15 * 32**2 * 2 * (grid.k_max + 1)
+        peak = traced_peak(lambda s: grid.rfft(rng.standard_normal(s).transpose(1, 2, 3, 0)), shape)
+        assert peak <= 1.05 * (field_bytes + x_out_bytes)
 
 
 class TestSymbolMatrix:

@@ -1,5 +1,6 @@
 import dataclasses
 import platform
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -44,9 +45,28 @@ from oracles import (
     grid_assemble_rhs,
     is_component_major,
     l2_norm,
+    pairing_bundle,
+    traced_peak,
 )
 
 CONFIGS = Path(__file__).resolve().parent.parent / "scripts" / "configs"
+
+# The benchmark's three workloads.
+WORKLOADS = {
+    "gl-n32-full": _base_config(
+        n=32, initial_velocity=("random", 6, 0.1), initial_director=("random", 7, 0.1)
+    ),
+    "sof-twist-n16": parse_config(CONFIGS / "sof_twist.cfg"),
+    "scof-n16": dataclasses.replace(parse_config(CONFIGS / "scaled_anisotropy.cfg"), n=16),
+}
+
+WITH_FREEDOM = _base_config(
+    n=8,
+    n_v=36,
+    n_d=57,
+    model_type="with_freedom",
+    model_params={"b": np.array([0.3, -0.2, 0.4]), "b_bar": 0.5},
+)
 
 
 @pytest.fixture(scope="module")
@@ -232,13 +252,7 @@ class TestAssembleRhs:
         if name == "gl8":
             cfg = _base_config(n=8, n_v=36, n_d=57)
         elif name == "with_freedom":
-            cfg = _base_config(
-                n=8,
-                n_v=36,
-                n_d=57,
-                model_type="with_freedom",
-                model_params={"b": np.array([0.3, -0.2, 0.4]), "b_bar": 0.5},
-            )
+            cfg = WITH_FREEDOM
         else:
             cfg = parse_config(str(CONFIGS / name))
         system = build_system(cfg)
@@ -449,16 +463,7 @@ class TestFieldLayout:
     """Every grid field of a state is component-major, as the transforms
     write it: the pointwise layer then runs on contiguous n^3 planes."""
 
-    @pytest.mark.parametrize(
-        "cfg",
-        [
-            # The benchmark's three workloads.
-            _base_config(n=32, initial_velocity=("random", 6, 0.1), initial_director=("random", 7, 0.1)),
-            parse_config(CONFIGS / "sof_twist.cfg"),
-            dataclasses.replace(parse_config(CONFIGS / "scaled_anisotropy.cfg"), n=16),
-        ],
-        ids=["gl-n32-full", "sof-twist-n16", "scof-n16"],
-    )
+    @pytest.mark.parametrize("cfg", WORKLOADS.values(), ids=WORKLOADS)
     def test_fields_are_component_major(self, cfg, monkeypatch):
         system = build_system(cfg)
         fields = system.fields(initial_state(cfg, system))
@@ -467,8 +472,15 @@ class TestFieldLayout:
             field = getattr(fields, name)
             assert field.shape[:3] == (n, n, n)
             assert is_component_major(field), name
-        assert is_component_major(coupling_stress(system.coeffs, fields.d, fields.q, fields.svd))
-        # The 15-component bundle assemble_rhs hands to rfft.
+        stress = coupling_stress(system.coeffs, fields.d, fields.q, fields.svd)
+        assert is_component_major(stress)
+        # With out=, the stress is written into it and returned, bytes unchanged.
+        out = np.empty((3, 3, n, n, n)).transpose(2, 3, 4, 0, 1)
+        assert coupling_stress(system.coeffs, fields.d, fields.q, fields.svd, out=out) is out
+        assert out.tobytes() == stress.tobytes()
+        assert is_component_major(out)
+        # The 15-component bundle assemble_rhs hands to rfft, written in
+        # place: byte for byte the bundle joined from separate arrays.
         bundles = []
         rfft = SpectralGrid.rfft
 
@@ -480,6 +492,57 @@ class TestFieldLayout:
         system.assemble_rhs(initial_state(cfg, system), fields)
         assert [b.shape for b in bundles] == [(n, n, n, 15)]
         assert is_component_major(bundles[0])
+        assert bundles[0].tobytes() == pairing_bundle(system, fields).tobytes()
+
+
+class TestEnergyIdentity:
+    """q_hat is the exact coefficient gradient of the quadrature energy, so
+    the semi-discrete system has dE/dt = v_hat.f_v + q_hat.f_d exactly, with
+    (f_v, f_d) from assemble_rhs: at every state that power equals the
+    ledger's g_power + cross - D to rounding, for any energy and dt."""
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            *WORKLOADS.values(),
+            dataclasses.replace(
+                WITH_FREEDOM,
+                initial_velocity=("random", 6, 0.3),
+                initial_director=("random", 7, 0.3),
+            ),
+        ],
+        ids=[*WORKLOADS, "with_freedom"],
+    )
+    def test_power_matches_the_ledger_at_each_state(self, cfg):
+        system = build_system(cfg)
+        state = initial_state(cfg, system)
+        for _ in range(4):
+            fields = system.fields(state)
+            rhs = system.assemble_rhs(state, fields)
+            f_v, f_d = rhs
+            rec = energy_ledger(system, state, fields)
+            power = state.v_hat @ f_v + fields.q_hat @ f_d
+            delta = power - (rec.g_power + rec.cross - rec.dissipation)
+            assert rec.dissipation > 0.0
+            assert abs(delta) <= 1e-14 * rec.dissipation
+            state = system.step(state, cfg.dt, rhs)
+
+
+class TestWorkingSet:
+    @pytest.mark.skipif(
+        sys.version_info < (3, 11), reason="before 3.11 the caller holds its arguments during a call"
+    )
+    def test_assemble_rhs_stays_within_28_planes(self):
+        # gl-n32-full, (32, 10): the 15-plane bundle, then at most the stress's
+        # w (3 planes) and one w x d temporary (9); rfft frees the bundle after
+        # its x pass (output 0.69 of it).
+        cfg = WORKLOADS["gl-n32-full"]
+        system = build_system(cfg)
+        assert (system.grid.n, system.grid.k_max) == (32, 10)
+        state = initial_state(cfg, system)
+        fields = system.fields(state)
+        plane_bytes = 8 * 32**3
+        assert traced_peak(lambda s: system.assemble_rhs(s, fields), state) <= 28 * plane_bytes
 
 
 class TestTransformGrid:
