@@ -175,13 +175,7 @@ class SpectralGrid:
         The forward x pass costs 2 (k_max+1) n^3 C multiply-adds and
         already shrinks the data.  On component-major fields the x and y
         passes run one GEMM per component and the z pass one GEMM after a
-        transpose of the (k_max+1) b n C partial band.  Medians of 3,000
-        interleaved calls (600 at 32^3), one thread, CLI malloc thresholds,
-        2-core x86-64, component-last -> component-major fields, in us,
-        15-component rfft and 12-component irfft: (n, k_max) = (8, 1)
-        18 -> 25 and 19 -> 27; (16, 1) 38 -> 49 and 64 -> 70; (32, 10)
-        2,996 -> 2,749 and 2,202 -> 2,340.  The small grids pay for the
-        extra GEMM calls; the pointwise layer gains more on every grid."""
+        transpose of the (k_max+1) b n C partial band."""
         n = self.n
         h = self.k_max + 1
         # The exact phase index k x mod n keeps every angle in [0, 2pi).

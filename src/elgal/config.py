@@ -19,7 +19,7 @@ Sections and keys (defaults in brackets):
     N                   points per dimension of the largest transform grid (even, >= 8)
     n_v n_d             retained mode counts ["all"]
 [time]
-    dt  t_end
+    dt  t_end           t_end a whole number of steps of dt
 [io]
     record_every [1]  outdir [""]  ledger [ledger.csv]  snapshot_every [0]
 [initial]   (optional)
@@ -33,8 +33,11 @@ Sections and keys (defaults in brackets):
     kinetic_decay_rate          kinetic_decay_rtol [1e-6]
     director_energy_decay_rate  director_energy_decay_rtol [1e-8]
     residual_cap                cross_identically_zero [off]
+    A tolerance (energy_slack, *_rtol) is refused without its assertion.
 
-Unknown sections or keys are rejected, naming the offender.
+Unknown sections or keys are rejected, naming the offender.  The [model]
+types and their keys come from one table, ``_MODELS``: an energy type is its
+class plus one entry there.
 """
 
 from __future__ import annotations
@@ -61,36 +64,30 @@ class ConfigError(ValueError):
     pass
 
 
-_BASE_TYPES = ("ginzburg_landau", "simplified_oseen_frank", "scaled_oseen_frank")
-_MODEL_TYPES = _BASE_TYPES + ("with_field", "with_freedom")
+def _with_field(base, chi_perp, chi_par, H):
+    # WithField takes the field first; the keys keep their documented order.
+    return WithField(base, H, chi_perp, chi_par)
 
-_MODEL_KEYS = {
-    "ginzburg_landau": {"eps", "penalty"},
-    "simplified_oseen_frank": {"eps", "penalty", "k1", "k2", "alpha"},
-    "scaled_oseen_frank": {"eps", "penalty", "k1", "k2", "k3", "k4", "s"},
-    "with_field": {"base", "chi_perp", "chi_par", "H"},
-    "with_freedom": {"base", "b", "b_bar"},
-}
-# In the documented order, so a config missing several keys is told of the
-# first one whatever the string hash seed.
-_MODEL_REQUIRED = {
-    "ginzburg_landau": (),
-    "simplified_oseen_frank": ("k1", "k2", "alpha"),
-    "scaled_oseen_frank": ("k1", "k2", "k3", "k4", "s"),
-    "with_field": ("chi_perp", "chi_par", "H"),
-    "with_freedom": ("b", "b_bar"),
+
+# The energy catalog: each type's constructor and whether it wraps a base,
+# then its required keys in the documented order, so a config missing several
+# is told of the first whatever the string hash seed.  A base energy is built
+# from its keys and eps, a wrapper from the built base and its keys.
+_MODELS = {
+    "ginzburg_landau": (GinzburgLandau, False, ()),
+    "simplified_oseen_frank": (SimplifiedOseenFrank, False, ("k1", "k2", "alpha")),
+    "scaled_oseen_frank": (ScaledOseenFrank, False, ("k1", "k2", "k3", "k4", "s")),
+    "with_field": (_with_field, True, ("chi_perp", "chi_par", "H")),
+    "with_freedom": (WithFreedom, True, ("b", "b_bar")),
 }
 
-_ASSERT_KEYS = {
-    "energy_monotonic",
-    "energy_slack",
-    "kinetic_decay_rate",
-    "kinetic_decay_rtol",
-    "director_energy_decay_rate",
-    "director_energy_decay_rtol",
-    "residual_cap",
-    "cross_identically_zero",
+# Each [assert] key that takes a tolerance: the tolerance's key and default.
+_TOLERANCES = {
+    "energy_monotonic": ("energy_slack", 1e-8),
+    "kinetic_decay_rate": ("kinetic_decay_rtol", 1e-6),
+    "director_energy_decay_rate": ("director_energy_decay_rtol", 1e-8),
 }
+_ASSERT_KEYS = {"residual_cap", "cross_identically_zero", *_TOLERANCES, *(key for key, _ in _TOLERANCES.values())}
 
 
 @dataclass
@@ -115,17 +112,21 @@ class SimulationConfig:
     forcing_velocity: tuple = ("zero",)
     assertions: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        # Here, not in run(), so that every command refuses the same configs.
+        n_steps = round(self.t_end / self.dt)
+        if abs(n_steps * self.dt - self.t_end) > 1e-9 * max(self.dt, self.t_end):
+            raise ConfigError("key 't_end': must be an integer multiple of dt (fixed-step scheme)")
+
     def build_coefficients(self) -> LeslieCoefficients:
         return LeslieCoefficients(*self.mu)
 
     def build_model(self) -> FreeEnergyModel:
-        if self.model_type in _BASE_TYPES:
-            return _build_base_model(self.model_type, self.model_params)
-        base = _build_base_model(self.base_type, self.base_params)
-        p = self.model_params
-        if self.model_type == "with_field":
-            return WithField(base, p["H"], p["chi_perp"], p["chi_par"])
-        return WithFreedom(base, p["b"], p["b_bar"])
+        wrap, wraps, wrap_keys = _MODELS[self.model_type]
+        p = self.base_params if wraps else self.model_params
+        make, _, keys = _MODELS[self.base_type if wraps else self.model_type]
+        model = make(*(p[k] for k in keys), eps=p.get("eps", 1.0) if p.get("penalty", True) else None)
+        return wrap(model, *(self.model_params[k] for k in wrap_keys)) if wraps else model
 
     def canonical_text(self) -> str:
         """Deterministic flat rendering, used for checkpoint hashes."""
@@ -146,25 +147,6 @@ def _render(v):
     if isinstance(v, float):
         return repr(v)
     return str(v)
-
-
-def _build_base_model(kind: str, p: dict) -> FreeEnergyModel:
-    eps = p.get("eps", 1.0) if p.get("penalty", True) else None
-    if kind == "ginzburg_landau":
-        return GinzburgLandau(eps=eps)
-    if kind == "simplified_oseen_frank":
-        return SimplifiedOseenFrank(p["k1"], p["k2"], p["alpha"], eps=eps)
-    return ScaledOseenFrank(p["k1"], p["k2"], p["k3"], p["k4"], p["s"], eps=eps)
-
-
-def _velocity_capacity(n: int) -> int:
-    cutoff = (n - 1) // 3
-    return 4 * (((2 * cutoff + 1) ** 3 - 1) // 2)
-
-
-def _director_capacity(n: int) -> int:
-    cutoff = (n - 1) // 3
-    return 3 + 6 * (((2 * cutoff + 1) ** 3 - 1) // 2)
 
 
 class _Section:
@@ -294,41 +276,33 @@ def parse_config(path: str) -> SimulationConfig:
     mtype = msec_raw.get("type")
     if mtype is None:
         raise ConfigError("missing required key 'type' in section [model]")
-    if mtype not in _MODEL_TYPES:
+    if mtype not in _MODELS:
         raise ConfigError(f"key 'type': unknown model type {mtype!r}")
+    _, wraps, keys = _MODELS[mtype]
+    base_type = msec_raw.get("base", "ginzburg_landau") if wraps else mtype
+    if base_type not in _MODELS or _MODELS[base_type][1]:
+        raise ConfigError(f"key 'base': unknown base type {base_type!r}")
+    wrap_keys = keys if wraps else ()
+    base_keys = _MODELS[base_type][2]
+    allowed = {"type", "eps", "penalty", *base_keys, *wrap_keys}
+    msec = _Section("model", msec_raw, allowed | ({"base"} if wraps else set()))
 
-    allowed = {"type"} | _MODEL_KEYS[mtype]
-    if mtype in ("with_field", "with_freedom"):
-        base_type = msec_raw.get("base", "ginzburg_landau")
-        if base_type not in _BASE_TYPES:
-            raise ConfigError(f"key 'base': unknown base type {base_type!r}")
-        allowed |= _MODEL_KEYS[base_type]
+    def value(key):
+        if key in ("H", "b"):
+            return msec.get_vec3(key, required=True)
+        return msec.get_float(key, required=True, positive=key in ("k1", "k2"), nonnegative=key in ("k3", "k4"))
+
+    # Wrapper keys first, then the base's.
+    wrap_params = {key: value(key) for key in wrap_keys}
+    params: dict = {"penalty": msec.get_bool("penalty", True)}
+    if str(msec.get("eps", "")).lower() == "none":
+        if params["penalty"] and "penalty" in msec.raw:
+            raise ConfigError("key 'penalty': cannot be on with eps = none")
+        params["penalty"] = False
     else:
-        base_type = mtype
-    msec = _Section("model", msec_raw, allowed)
-
-    def model_params(kind):
-        p: dict = {}
-        p["penalty"] = msec.get_bool("penalty", True)
-        if str(msec.get("eps", "")).lower() == "none":
-            if p["penalty"] and "penalty" in msec.raw:
-                raise ConfigError("key 'penalty': cannot be on with eps = none")
-            p["penalty"] = False
-        else:
-            p["eps"] = msec.get_float("eps", 1.0, positive=True)
-        for key in _MODEL_REQUIRED[kind]:
-            p[key] = msec.get_float(
-                key, required=True, positive=key in ("k1", "k2"), nonnegative=key in ("k3", "k4")
-            )
-        return p
-
-    if mtype in _BASE_TYPES:
-        mparams = model_params(mtype)
-        bparams: dict = {}
-    else:
-        mparams = {k: (msec.get_vec3(k, required=True) if k in ("H", "b") else msec.get_float(k, required=True))
-                   for k in _MODEL_REQUIRED[mtype]}
-        bparams = model_params(base_type)
+        params["eps"] = msec.get_float("eps", 1.0, positive=True)
+    params.update((key, value(key)) for key in base_keys)
+    mparams, bparams = (wrap_params, params) if wraps else (params, {})
 
     lsec = _Section("leslie", raw["leslie"], {f"mu{i}" for i in range(1, 7)} | {"allow_nondissipative"})
     mu = (
@@ -356,8 +330,11 @@ def parse_config(path: str) -> SimulationConfig:
             raise ConfigError(f"key '{key}': {val} exceeds grid capacity {capacity}")
         return val
 
-    n_v = mode_count("n_v", _velocity_capacity(n))
-    n_d = mode_count("n_d", _director_capacity(n))
+    # Wavevectors k != 0 of the half spectrum with |k|_inf <= (N-1)//3: four
+    # velocity modes each, six director modes each plus three constants.
+    half = ((2 * ((n - 1) // 3) + 1) ** 3 - 1) // 2
+    n_v = mode_count("n_v", 4 * half)
+    n_d = mode_count("n_d", 3 + 6 * half)
 
     tsec = _Section("time", raw["time"], {"dt", "t_end"})
     dt = tsec.get_float("dt", required=True, positive=True)
@@ -369,15 +346,14 @@ def parse_config(path: str) -> SimulationConfig:
 
     asec = _Section("assert", raw.get("assert", {}), _ASSERT_KEYS)
     assertions: dict = {}
-    if asec.get_bool("energy_monotonic", False):
-        assertions["energy_monotonic"] = asec.get_float("energy_slack", 1e-8)
-    for rate_key, tol_key, tol_default in (
-        ("kinetic_decay_rate", "kinetic_decay_rtol", 1e-6),
-        ("director_energy_decay_rate", "director_energy_decay_rtol", 1e-8),
-    ):
-        rate = asec.get_float(rate_key)
-        if rate is not None:
-            assertions[rate_key] = (rate, asec.get_float(tol_key, tol_default))
+    for key, (tol_key, tol_default) in _TOLERANCES.items():
+        is_rate = key != "energy_monotonic"
+        setting = asec.get_float(key) if is_rate else asec.get_bool(key) or None
+        tol = asec.get_float(tol_key, tol_default)
+        if setting is not None:
+            assertions[key] = (setting, tol) if is_rate else tol
+        elif tol_key in asec.raw:
+            raise ConfigError(f"key '{tol_key}': needs the assertion '{key}'")
     cap = asec.get_float("residual_cap")
     if cap is not None:
         assertions["residual_cap"] = cap

@@ -756,6 +756,8 @@ def check_theta_bound(
     """Sampled sup of the state-dependent Hessian part against c_lam/(16 c_h2)."""
     if c_lambda <= 0 or c_h2 <= 0:
         raise ValueError("c_lambda and c_h2 must be positive")
+    if radius <= 0:
+        raise ValueError("radius must be positive")
     bound = c_lambda / (16.0 * c_h2)
     if not model.has_theta:
         return ConditionReport(

@@ -14,7 +14,11 @@ from elgal.cli import main
 from elgal.config import ConfigError, parse_config
 from elgal.diagnostics import test_interpolation_inequality as interpolation_report
 from elgal.diagnostics import test_velocity_interpolation as velocity_interpolation_report
+from elgal.energies import GinzburgLandau, ScaledOseenFrank, SimplifiedOseenFrank, WithField, WithFreedom
+from elgal.scenarios import BUILTIN_SCENARIOS
 from elgal.simulate import run
+
+CONFIGS = Path(__file__).resolve().parent.parent / "scripts" / "configs"
 
 MINIMAL = """
 [model]
@@ -147,6 +151,155 @@ class TestParseConfig:
         assert a.config_hash() == b.config_hash()
         c = parse_config(write(tmp_path, MINIMAL.replace("dt = 1e-3", "dt = 2e-3"), "c.cfg"))
         assert c.config_hash() != a.config_hash()
+
+    @pytest.mark.parametrize(
+        "extra", ["energy_slack = 1e-6", "kinetic_decay_rtol = 1e-3", "director_energy_decay_rtol = 1e-3"]
+    )
+    def test_assert_companion_needs_its_assertion(self, tmp_path, extra):
+        key = extra.split()[0]
+        with pytest.raises(ConfigError, match=f"key '{key}'"):
+            parse_config(write(tmp_path, MINIMAL + f"\n[assert]\n{extra}\n"))
+
+    @pytest.mark.parametrize(
+        "owner, key, value",
+        [
+            ("energy_monotonic = on", "energy_slack", "abc"),
+            ("energy_monotonic = off", "energy_slack", "abc"),
+            ("kinetic_decay_rate = 1.0", "kinetic_decay_rtol", "nan"),
+            ("", "kinetic_decay_rtol", "nan"),
+            ("director_energy_decay_rate = 2.0", "director_energy_decay_rtol", "inf"),
+        ],
+    )
+    def test_assert_companion_value_checked(self, tmp_path, owner, key, value):
+        text = MINIMAL + f"\n[assert]\n{owner}\n{key} = {value}\n"
+        with pytest.raises(ConfigError, match=f"key '{key}': (not a number|must be finite)"):
+            parse_config(write(tmp_path, text))
+
+    def test_assert_companions_read_with_their_assertions(self, tmp_path):
+        text = MINIMAL + textwrap.dedent(
+            """
+            [assert]
+            energy_monotonic = on
+            energy_slack = 1e-6
+            kinetic_decay_rate = 1.0
+            kinetic_decay_rtol = 1e-3
+            director_energy_decay_rate = 2.0
+            """
+        )
+        assert parse_config(write(tmp_path, text)).assertions == {
+            "energy_monotonic": 1e-6,
+            "kinetic_decay_rate": (1.0, 1e-3),
+            "director_energy_decay_rate": (2.0, 1e-8),
+        }
+
+
+# The keys each energy type needs, with admissible values.
+CATALOG_KEYS = {
+    "ginzburg_landau": "",
+    "simplified_oseen_frank": "k1 = 2\nk2 = 0.5\nalpha = 0.5\n",
+    "scaled_oseen_frank": "k1 = 1.5\nk2 = 1\nk3 = 0.009\nk4 = 0.009\ns = 0.25\n",
+    "with_field": "chi_perp = 0.1\nchi_par = 0.6\nH = 0 0 1\n",
+    "with_freedom": "b = 0.2 -0.1 0.3\nb_bar = 0.7\n",
+}
+CATALOG_CLASSES = {
+    "ginzburg_landau": GinzburgLandau,
+    "simplified_oseen_frank": SimplifiedOseenFrank,
+    "scaled_oseen_frank": ScaledOseenFrank,
+    "with_field": WithField,
+    "with_freedom": WithFreedom,
+}
+# A key of another base type, which each base type must refuse.
+FOREIGN_KEY = {"ginzburg_landau": "k1", "simplified_oseen_frank": "k3", "scaled_oseen_frank": "alpha"}
+BASES = sorted(FOREIGN_KEY)
+PAIRS = [(wrapper, base) for wrapper in ("with_field", "with_freedom") for base in BASES]
+
+
+def model_config(model_type, base=None, extra=""):
+    lines = f"type = {model_type}\n"
+    if base is not None:
+        lines += f"base = {base}\n" + CATALOG_KEYS[base]
+    lines += CATALOG_KEYS[model_type] + extra
+    return MINIMAL.replace("type = ginzburg_landau\n", lines)
+
+
+class TestModelCatalog:
+    """Every base energy and every (wrapper, base) pair, pinned to the
+    classes, key sets, messages and hashes the parser has always given."""
+
+    @pytest.mark.parametrize("kind", BASES)
+    def test_base_type_builds_its_class(self, tmp_path, kind):
+        cfg = parse_config(write(tmp_path, model_config(kind)))
+        assert (cfg.model_type, cfg.base_type, cfg.base_params) == (kind, kind, {})
+        assert type(cfg.build_model()) is CATALOG_CLASSES[kind]
+
+    @pytest.mark.parametrize("wrapper, base", PAIRS)
+    def test_wrapper_builds_its_class_over_the_base(self, tmp_path, wrapper, base):
+        cfg = parse_config(write(tmp_path, model_config(wrapper, base)))
+        assert (cfg.model_type, cfg.base_type) == (wrapper, base)
+        model = cfg.build_model()
+        assert type(model) is CATALOG_CLASSES[wrapper]
+        assert type(model.base) is CATALOG_CLASSES[base]
+
+    @pytest.mark.parametrize("kind", BASES)
+    def test_base_type_refuses_another_base_key(self, tmp_path, kind):
+        key = FOREIGN_KEY[kind]
+        with pytest.raises(ConfigError, match=f"^unknown key '{key}' in section \\[model\\]$"):
+            parse_config(write(tmp_path, model_config(kind, extra=f"{key} = 1\n")))
+
+    @pytest.mark.parametrize("wrapper, base", PAIRS)
+    def test_wrapper_refuses_another_base_key(self, tmp_path, wrapper, base):
+        key = FOREIGN_KEY[base]
+        with pytest.raises(ConfigError, match=f"^unknown key '{key}' in section \\[model\\]$"):
+            parse_config(write(tmp_path, model_config(wrapper, base, extra=f"{key} = 1\n")))
+
+    def test_wrapper_key_refused_elsewhere(self, tmp_path):
+        with pytest.raises(ConfigError, match="^unknown key 'b_bar' in section \\[model\\]$"):
+            parse_config(write(tmp_path, model_config("with_field", "ginzburg_landau", extra="b_bar = 1\n")))
+        with pytest.raises(ConfigError, match="^unknown key 'base' in section \\[model\\]$"):
+            parse_config(write(tmp_path, model_config("ginzburg_landau", extra="base = ginzburg_landau\n")))
+
+    @pytest.mark.parametrize(
+        "wrapper, dropped, named",
+        [
+            ("with_field", ("chi_par", "k2"), "chi_par"),
+            ("with_field", ("H", "k1", "k2", "k3", "k4", "s"), "H"),
+            ("with_field", ("chi_perp", "chi_par", "H"), "chi_perp"),
+            ("with_freedom", ("b_bar", "k4"), "b_bar"),
+            ("with_freedom", ("k3", "s"), "k3"),
+        ],
+    )
+    def test_missing_wrapper_key_named_before_base_key(self, tmp_path, wrapper, dropped, named):
+        text = model_config(wrapper, "scaled_oseen_frank")
+        text = "".join(line for line in text.splitlines(True) if line.split(" =")[0] not in dropped)
+        with pytest.raises(ConfigError, match=f"^missing required key '{named}' in section \\[model\\]$"):
+            parse_config(write(tmp_path, text))
+
+    def test_unknown_base_type_named(self, tmp_path):
+        text = model_config("with_field").replace("type = with_field\n", "type = with_field\nbase = with_freedom\n")
+        with pytest.raises(ConfigError, match="^key 'base': unknown base type 'with_freedom'$"):
+            parse_config(write(tmp_path, text))
+
+    @pytest.mark.parametrize(
+        "name, prefix",
+        [
+            ("gl_mixing.cfg", "00253ea19417e654"),
+            ("scaled_anisotropy.cfg", "8953fcc22ae438fc"),
+            ("sof_twist.cfg", "c40a4ed31a2b7ed7"),
+            ("with_field_twist.cfg", "735999ee80cb19d0"),
+            ("with_freedom_anisotropy.cfg", "67245424b96258ff"),
+            ("stokes-decay", "fad286cf02908631"),
+            ("director-relaxation", "1b9c8f2e3e3d9067"),
+            ("gl-dissipation", "6d2f8fc42dff6f72"),
+            ("parodi-cross", "bcdeac62d98ad4ad"),
+        ],
+    )
+    def test_config_hash_unchanged(self, name, prefix):
+        # Checkpoint headers carry this hash, so it must not drift.
+        if name.endswith(".cfg"):
+            cfg = parse_config(CONFIGS / name)
+        else:
+            cfg = BUILTIN_SCENARIOS[name]().config
+        assert cfg.config_hash()[:16] == prefix
 
 
 RUNNABLE = """
@@ -333,6 +486,12 @@ class TestCli:
             assert proc.returncode == 2
             messages.add(proc.stderr.strip())
         assert messages == {"config error: missing required key 'k3' in section [model]"}
+
+    def test_validate_refuses_what_run_refuses(self, tmp_path, capsys):
+        path = write(tmp_path, RUNNABLE.replace("t_end = 0.02", "t_end = 0.0105"))
+        assert main(["validate", path]) == 2
+        assert "key 't_end': must be an integer multiple of dt" in capsys.readouterr().err
+        assert main(["run", path, "--outdir", str(tmp_path)]) == 2
 
     def test_validate_fails_on_zero_mu4(self, tmp_path, capsys):
         path = write(tmp_path, MINIMAL.replace("mu4 = 1", "mu4 = 0"))

@@ -523,6 +523,16 @@ class TestThetaBound:
         with pytest.raises(ValueError):
             check_theta_bound(GinzburgLandau(1.0), 0.0, 1.0)
 
+    @pytest.mark.parametrize("radius", [0.0, -1.0])
+    def test_invalid_radius(self, calibration, radius):
+        # This model fails at the default radius; a ball of radius 0 would
+        # sample only h = 0, S = 0, where Theta vanishes, and pass.
+        c_lam, c_h2 = calibration
+        model = ScaledOseenFrank(1.5, 1.0, 0.5, 0.2, 0.25, eps=1.0)
+        assert not check_theta_bound(model, c_lam, c_h2, 2000).passed
+        with pytest.raises(ValueError, match="radius"):
+            check_theta_bound(model, c_lam, c_h2, 2000, radius=radius)
+
 
 class TestNullLagrangianProperties:
     def test_freedom_terms_do_not_change_flow_coupling(self, rng):
