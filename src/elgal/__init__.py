@@ -51,7 +51,6 @@ from .tensors import (
     contract42,
     curl_quadratic_4,
     identity_4,
-    outer,
     trace_outer_4,
     transpose_4,
 )
@@ -102,7 +101,6 @@ __all__ = [
     "identity_4",
     "initial_state",
     "load_checkpoint",
-    "outer",
     "parse_config",
     "run",
     "run_scenario",

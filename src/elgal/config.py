@@ -33,7 +33,8 @@ Sections and keys (defaults in brackets):
     kinetic_decay_rate          kinetic_decay_rtol [1e-6]
     director_energy_decay_rate  director_energy_decay_rtol [1e-8]
     residual_cap                cross_identically_zero [off]
-    A tolerance (energy_slack, *_rtol) is refused without its assertion.
+    A tolerance (energy_slack, *_rtol) is refused without its assertion;
+    tolerances and residual_cap must be nonnegative.
 
 Unknown sections or keys are rejected, naming the offender.  The [model]
 types and their keys come from one table, ``_MODELS``: an energy type is its
@@ -349,12 +350,12 @@ def parse_config(path: str) -> SimulationConfig:
     for key, (tol_key, tol_default) in _TOLERANCES.items():
         is_rate = key != "energy_monotonic"
         setting = asec.get_float(key) if is_rate else asec.get_bool(key) or None
-        tol = asec.get_float(tol_key, tol_default)
+        tol = asec.get_float(tol_key, tol_default, nonnegative=True)
         if setting is not None:
             assertions[key] = (setting, tol) if is_rate else tol
         elif tol_key in asec.raw:
             raise ConfigError(f"key '{tol_key}': needs the assertion '{key}'")
-    cap = asec.get_float("residual_cap")
+    cap = asec.get_float("residual_cap", nonnegative=True)
     if cap is not None:
         assertions["residual_cap"] = cap
     if asec.get_bool("cross_identically_zero", False):

@@ -8,9 +8,11 @@
   with the time derivative supplied by centered differences of adjacent
   records (one-sided at the ends);
 * a priori monitors (running suprema / time integrals);
-* empirical Gagliardo-Nirenberg-type interpolation testers in the
-  convention ||d||_H1 := ||grad d||_L2 and ||d||_H2 := ||Delta d||_L2
-  (gradient norms vanish on constants, which is harmless for the ratios).
+* empirical Gagliardo-Nirenberg-type interpolation testers.  Both check
+      ||u||_{L^r(L^p)}^r <= C ||grad u||_{L^2(L^2)}^theta ||u||_{L^inf(L^2)}^(r-theta),
+      1/p = 1/2 - theta/(3r),
+  for u = grad d (theta in [0, 2]) and u = v (theta = 2), the two fields the
+  a priori bounds put in L^inf(L^2) and L^2(H^1).
 """
 
 from __future__ import annotations
@@ -87,19 +89,25 @@ def energy_ledger(system, state, fields=None) -> EnergyRecord:
     if fields is None:
         fields = system.fields(state)
     d, grad_d, q_hat, q, svd = fields.d, fields.grad_d, fields.q_hat, fields.q, fields.svd
-    d_svd = np.einsum("...i,...i->...", d, svd)
+    d_svd_sq, svd_sq = _svd_squares(grid, d, svd)
 
     return EnergyRecord(
         t=state.t,
         kinetic=0.5 * float(state.v_hat @ state.v_hat),
         free=total_energy(system.model, d, grad_d, grid.cell_volume),
-        diss_mu1=c.mu1 * grid.quad(d_svd**2),
+        diss_mu1=c.mu1 * d_svd_sq,
         diss_mu4=c.mu4 * sym_grad_sq(system.velocity_basis, state.v_hat),
-        diss_a=c.anisotropy * grid.quad(np.sum(svd * svd, axis=-1)),
+        diss_a=c.anisotropy * svd_sq,
         diss_gamma_q=c.gamma * float(q_hat @ q_hat),
         cross=c.kappa * grid.quad(np.einsum("...i,...i->...", q, svd)),
         g_power=float(system.forcing_v_hat @ state.v_hat),
     )
+
+
+def _svd_squares(grid, d, svd) -> tuple[float, float]:
+    """Quadratures of (d . Sv d)^2 and |Sv d|^2, the mu1 and A dissipations."""
+    d_svd = np.einsum("...i,...i->...", d, svd)
+    return grid.quad(d_svd**2), grid.quad(np.sum(svd * svd, axis=-1))
 
 
 def sym_grad_sq(velocity_basis, v_hat: np.ndarray) -> float:
@@ -164,16 +172,13 @@ def apriori_monitor(system, states: list, caps: dict | None = None) -> AprioriRe
     d_h1 = np.array([np.sqrt(np.sum(s.d_hat**2 * (1.0 + dksq))) for s in states])
     lap_sq = np.array([np.sum(s.d_hat**2 * dksq**2) for s in states])
 
+    mu4_term = np.array([sym_grad_sq(system.velocity_basis, s.v_hat) for s in states])
     mu1_term = np.empty(len(states))
-    mu4_term = np.empty(len(states))
     svd_term = np.empty(len(states))
     for i, s in enumerate(states):
         d = system.director_basis.synthesize(s.d_hat)
         _, _, svd, _ = system.velocity_fields(s.v_hat, d)
-        d_svd = np.einsum("...i,...i->...", d, svd)
-        mu1_term[i] = grid.quad(d_svd**2)
-        mu4_term[i] = sym_grad_sq(system.velocity_basis, s.v_hat)
-        svd_term[i] = grid.quad(np.sum(svd * svd, axis=-1))
+        mu1_term[i], svd_term[i] = _svd_squares(grid, d, svd)
 
     def integral(y):
         return float(np.trapezoid(y, t)) if len(t) > 1 else 0.0
@@ -201,13 +206,10 @@ def apriori_monitor(system, states: list, caps: dict | None = None) -> AprioriRe
 
 @dataclass
 class InequalityReport:
-    kind: str
     p: Fraction
     r: object  # Fraction or math.inf
     theta: Fraction | None
-    relation: str
     empirical_constant: float
-    n_trajectories: int
     passed: bool
 
 
@@ -232,10 +234,30 @@ def _lp_norm(grid, field: np.ndarray, p: float) -> float:
     return grid.quad(mag**p) ** (1.0 / p)
 
 
+def _gn_constant(basis, trajectories, field, w_low, w_high, p, r, theta) -> float:
+    """Worst ratio over ``trajectories`` of ||u||_{L^r(L^p)}^r to
+    ||grad u||_{L^2(L^2)}^theta ||u||_{L^inf(L^2)}^(r - theta), u = field(coefs),
+    where ||u||^2 = coefs^2 @ w_low and ||grad u||^2 = coefs^2 @ w_high."""
+    worst = 0.0
+    for times, coefs in trajectories:
+        times = np.asarray(times, dtype=float)
+        coefs = np.asarray(coefs, dtype=float)
+        lp = np.array([_lp_norm(basis.grid, field(c), float(p)) for c in coefs])
+        sq = coefs**2
+        lhs = float(np.trapezoid(lp ** float(r), times))
+        l2_h1 = float(np.trapezoid(sq @ w_high, times))
+        linf_l2 = float(np.sqrt(sq @ w_low).max())
+        denom = l2_h1 ** (float(theta) / 2.0) * linf_l2 ** float(r - theta)
+        if lhs == 0.0:
+            continue
+        worst = max(worst, math.inf if denom == 0.0 else lhs / denom)
+    return worst
+
+
 def test_interpolation_inequality(basis, trajectories, p, r) -> InequalityReport:
-    """Empirical constant of ||grad d||_{L^r(L^p)}^r against the product of
-    ||d||_{L^2(H2)}^theta and ||d||_{L^inf(H1)}^(r - theta), where theta is
-    pinned by 1/p = 1/2 - theta/(3r).
+    """Empirical constant of the relation for u = grad d, any theta in
+    [0, 2]: ||grad d||_{L^r(L^p)}^r against ||Delta d||_{L^2(L^2)}^theta
+    ||grad d||_{L^inf(L^2)}^(r - theta) (||Delta d|| = ||grad grad d||).
 
     ``trajectories`` is a sequence of (times, coefficient rows) pairs in the
     director basis.  Exponent bookkeeping is exact rational arithmetic; pass
@@ -247,45 +269,24 @@ def test_interpolation_inequality(basis, trajectories, p, r) -> InequalityReport
     theta = 3 * rf * (Fraction(1, 2) - 1 / pf)
     if not Fraction(0) <= theta <= Fraction(2):
         raise ValueError(f"theta = {theta} outside [0, 2] for (p, r) = ({pf}, {rf})")
-    grid = basis.grid
     ksq = np.sum(basis.kvecs.astype(float) ** 2, axis=1)
-    worst = 0.0
-    for times, coefs in trajectories:
-        times = np.asarray(times, dtype=float)
-        coefs = np.asarray(coefs, dtype=float)
+
+    def grad_d(c):
         # Only the 9 gradient components of each spectrum are transformed.
-        grads = (grid.irfft(basis.synthesize_spec_half(c, gradient=True)[..., 3:]) for c in coefs)
-        lp = np.array([_lp_norm(grid, g, float(pf)) for g in grads])
-        h1 = np.sqrt(coefs**2 @ ksq)
-        h2_sq = coefs**2 @ ksq**2
-        lhs = float(np.trapezoid(lp ** float(rf), times))
-        denom = float(np.trapezoid(h2_sq, times)) ** (float(theta) / 2.0) * float(
-            h1.max()
-        ) ** float(rf - theta)
-        if lhs == 0.0:
-            continue
-        worst = max(worst, math.inf if denom == 0.0 else lhs / denom)
-    return InequalityReport(
-        kind="director_gradient",
-        p=pf,
-        r=rf,
-        theta=theta,
-        relation=f"1/p = 1/2 - theta/(3r), theta = {theta}",
-        empirical_constant=worst,
-        n_trajectories=len(trajectories),
-        passed=math.isfinite(worst),
-    )
+        return basis.grid.irfft(basis.synthesize_spec_half(c, gradient=True)[..., 3:])
+
+    worst = _gn_constant(basis, trajectories, grad_d, ksq, ksq**2, pf, rf, theta)
+    return InequalityReport(pf, rf, theta, worst, math.isfinite(worst))
 
 
 def test_velocity_interpolation(basis, trajectories, p, r) -> InequalityReport:
-    """Empirical constant of ||v||_{L^r(L^p)}^r against
-    ||v||_{L^2(H1)}^2 ||v||_{L^inf(L2)}^(r-2); requires 1/p = 1/2 - 2/(3r)
-    exactly (r = inf forces p = 2 and reduces to a containment)."""
+    """Empirical constant of the relation for u = v with theta = 2:
+    ||v||_{L^r(L^p)}^r against ||grad v||_{L^2(L^2)}^2 ||v||_{L^inf(L^2)}^(r-2),
+    so 1/p = 1/2 - 2/(3r) exactly (r = inf forces p = 2 and reduces to a
+    containment)."""
     pf = _as_fraction(p)
     if not Fraction(2) <= pf <= Fraction(6):
         raise ValueError(f"p = {pf} outside [2, 6]")
-    grid = basis.grid
-    ksq = np.sum(basis.kvecs.astype(float) ** 2, axis=1)
     if _is_inf(r):
         if pf != 2:
             raise ValueError("r = inf requires p = 2")
@@ -294,40 +295,12 @@ def test_velocity_interpolation(basis, trajectories, p, r) -> InequalityReport:
         for _, coefs in trajectories:
             if np.any(np.asarray(coefs) != 0.0):
                 worst = 1.0
-        return InequalityReport(
-            kind="velocity",
-            p=pf,
-            r=math.inf,
-            theta=None,
-            relation="r = inf containment",
-            empirical_constant=worst,
-            n_trajectories=len(trajectories),
-            passed=True,
-        )
+        return InequalityReport(pf, math.inf, None, worst, True)
     rf = _as_fraction(r)
     if rf < 2:
         raise ValueError(f"r = {rf} outside [2, inf]")
     if Fraction(1) / pf != Fraction(1, 2) - Fraction(2) / (3 * rf):
         raise ValueError(f"(p, r) = ({pf}, {rf}) violates 1/p = 1/2 - 2/(3r)")
-    worst = 0.0
-    for times, coefs in trajectories:
-        times = np.asarray(times, dtype=float)
-        coefs = np.asarray(coefs, dtype=float)
-        lp = np.array([_lp_norm(grid, basis.synthesize(c), float(pf)) for c in coefs])
-        h1_sq = coefs**2 @ ksq
-        l2 = np.sqrt(np.sum(coefs**2, axis=1))
-        lhs = float(np.trapezoid(lp ** float(rf), times))
-        denom = float(np.trapezoid(h1_sq, times)) * float(l2.max()) ** float(rf - 2)
-        if lhs == 0.0:
-            continue
-        worst = max(worst, math.inf if denom == 0.0 else lhs / denom)
-    return InequalityReport(
-        kind="velocity",
-        p=pf,
-        r=rf,
-        theta=None,
-        relation="1/p = 1/2 - 2/(3r)",
-        empirical_constant=worst,
-        n_trajectories=len(trajectories),
-        passed=math.isfinite(worst),
-    )
+    ksq = np.sum(basis.kvecs.astype(float) ** 2, axis=1)
+    worst = _gn_constant(basis, trajectories, basis.synthesize, np.ones_like(ksq), ksq, pf, rf, 2)
+    return InequalityReport(pf, rf, None, worst, math.isfinite(worst))

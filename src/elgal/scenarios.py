@@ -115,6 +115,11 @@ class ScenarioOutcome:
     report_path: str | None = None
 
 
+def _worst_interior_residual(records) -> float:
+    """max |residual| over the centered-difference (interior) records, or 0.0."""
+    return max([abs(r.residual) for r in records[1:-1]] or [0.0])
+
+
 def _evaluate_assertions(result) -> list[tuple[str, bool, str]]:
     records = result.records
     checks: list[tuple[str, bool, str]] = []
@@ -135,8 +140,7 @@ def _evaluate_assertions(result) -> list[tuple[str, bool, str]]:
                     worst = max(worst, abs(getattr(r, attr) - expect) / expect)
             checks.append((key, worst <= rtol, f"worst relative deviation {worst:.3e} vs {rtol:.1e}"))
         elif key == "residual_cap":
-            interior = [abs(r.residual) for r in records[1:-1]] or [0.0]
-            worst = max(interior)
+            worst = _worst_interior_residual(records)
             checks.append((key, worst <= payload, f"max |residual| {worst:.3e} vs cap {payload:.1e}"))
         elif key == "cross_identically_zero":
             ok = all(r.cross == 0.0 for r in records)
@@ -239,10 +243,9 @@ def convergence_suite(config: SimulationConfig) -> ConvergenceReport:
         )
         if err <= _EXACT_FLOOR * ref_norm:
             err = 0.0
-        interior = [abs(r.residual) for r in result.records[1:-1]] or [0.0]
         dts.append(base.dt / div)
         errors.append(err)
-        residuals.append(max(interior))
+        residuals.append(_worst_interior_residual(result.records))
     state_orders = []
     for e0, e1 in zip(errors, errors[1:]):
         state_orders.append(None if (e0 == 0.0 or e1 == 0.0) else float(np.log2(e0 / e1)))

@@ -21,11 +21,6 @@ def sym(a: Mat3) -> Mat3:
     return 0.5 * (a + np.matrix_transpose(a))
 
 
-def outer(a: Vec3, b: Vec3) -> Mat3:
-    """Outer product (a x b)_ij = a_i b_j."""
-    return np.einsum("...i,...j->...ij", a, b)
-
-
 def frob(a: Mat3, b: Mat3) -> np.ndarray:
     """Frobenius pairing A:B = sum_ij A_ij B_ij."""
     return np.einsum("...ij,...ij->...", a, b)

@@ -10,14 +10,16 @@ spectra formed over the whole band mesh (the only source of second
 derivatives), and one contraction per mode rather than per (wavevector,
 branch) pair.  The next ones pair every term on the grid, the principal
 parts included, which the solver applies as eigenbasis diagonals, and
-build the right-hand side's 15-component bundle from separate arrays.  The
-last ones are the other two forms of the Leslie stress, a complex-step
-derivative of the energy density, the elastic stress with its pairing and
-the strong-form cancellation identity, and a centered difference of the
-energy functional against the solver's q_hat.
+build the right-hand side's 15-component bundle from separate arrays.  One
+recomputes the interpolation testers' constant with every norm taken by
+grid quadrature.  The last ones are the other two forms of the Leslie
+stress, a complex-step derivative of the energy density, the elastic
+stress with its pairing and the strong-form cancellation identity, and a
+centered difference of the energy functional against the solver's q_hat.
 """
 
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import scipy.fft
@@ -25,7 +27,12 @@ import scipy.fft
 from elgal.basis import COS
 from elgal.energies import energy_gradient, total_energy, variational_derivative
 from elgal.leslie import coupling_stress, leslie_stress_discrete
-from elgal.tensors import contract42, outer, sym
+from elgal.tensors import contract42, sym
+
+
+def outer(a, b):
+    """Outer product (a x b)_ij = a_i b_j."""
+    return np.einsum("...i,...j->...ij", a, b)
 
 
 def sym_skw(a):
@@ -163,6 +170,32 @@ def full_mesh_derivatives(basis, coefs, hessian=False):
     grad = out[..., 3:12].reshape(n, n, n, 3, 3)
     hess = out[..., 12:].reshape(n, n, n, 3, 3, 3) if hessian else None
     return value, grad, hess
+
+
+def gn_constant_on_grid(basis, trajectories, p, r, director):
+    """Empirical constant of the interpolation testers with u and grad u
+    from ``full_mesh_derivatives`` and every norm by grid quadrature:
+    u = grad d with ||Delta d|| from the Hessian's trace (``director``), or
+    u = v with ||grad v||.  theta is pinned by 1/p = 1/2 - theta/(3r)."""
+    grid = basis.grid
+    theta = float(3 * Fraction(r) * (Fraction(1, 2) - 1 / Fraction(p)))
+    p, r = float(Fraction(p)), float(Fraction(r))
+    worst = 0.0
+    for times, coefs in trajectories:
+        lp, low_sq, high_sq = [], [], []
+        for c in coefs:
+            value, grad, hess = full_mesh_derivatives(basis, c, hessian=director)
+            u, du = (grad, np.einsum("...iaa->...i", hess)) if director else (value, grad)
+            mag_sq = np.sum(u.reshape(*u.shape[:3], -1) ** 2, axis=-1)
+            lp.append(grid.quad(mag_sq ** (p / 2)) ** (1 / p))
+            low_sq.append(grid.quad(mag_sq))
+            high_sq.append(grid.quad(np.sum(du.reshape(*du.shape[:3], -1) ** 2, axis=-1)))
+        lhs = np.trapezoid(np.array(lp) ** r, times)
+        if lhs == 0.0:
+            continue
+        denom = np.trapezoid(high_sq, times) ** (theta / 2) * max(low_sq) ** ((r - theta) / 2)
+        worst = max(worst, lhs / denom)
+    return worst
 
 
 def _representatives(basis):

@@ -23,6 +23,7 @@ MOVED = [
     ("elgal.tensors", "sym_skw"),
     ("elgal.tensors", "is_symmetric_pair"),
     ("elgal.tensors", "skw"),
+    ("elgal.tensors", "outer"),
     ("elgal.basis", "SpectralGrid.axes_points"),
     ("elgal.basis", "SpectralGrid.l2_norm"),
 ]

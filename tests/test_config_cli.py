@@ -451,6 +451,23 @@ class TestCli:
         assert main(["run", write(tmp_path, text), "--outdir", str(tmp_path)]) == 2
         assert f"key '{key}': must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "owner, key",
+        [
+            ("", "energy_slack"),  # RUNNABLE turns energy_monotonic on
+            ("kinetic_decay_rate = 1.0", "kinetic_decay_rtol"),
+            ("director_energy_decay_rate = 2.0", "director_energy_decay_rtol"),
+            ("", "residual_cap"),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_negative_tolerance_is_config_error(self, tmp_path, capsys, command, owner, key):
+        args = [command, write(tmp_path, RUNNABLE + f"{owner}\n{key} = -1\n")]
+        if command == "run":
+            args += ["--outdir", str(tmp_path)]
+        assert main(args) == 2
+        assert f"key '{key}': must be nonnegative" in capsys.readouterr().err
+
     def test_validate_passes_for_accepted_setup(self, tmp_path, capsys):
         assert main(["validate", write(tmp_path, MINIMAL)]) == 0
         out = capsys.readouterr().out

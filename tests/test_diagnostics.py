@@ -28,6 +28,7 @@ from oracles import (
     ericksen_identity_residual,
     full_mesh_derivatives,
     gateaux_check,
+    gn_constant_on_grid,
     sym_grad_sq_quadrature,
 )
 
@@ -311,6 +312,38 @@ class TestInterpolationInequalities:
             assert rep.passed
             c.append(rep.empirical_constant)
         assert max(c) / min(c) < 10.0
+
+
+@pytest.fixture(scope="module", params=[8, 16])
+def bases_n(request):
+    grid = SpectralGrid(request.param)
+    return (
+        build_director_basis(GinzburgLandau(1.0).d2F_dS2_const(), grid),
+        build_velocity_basis(grid),
+    )
+
+
+class TestInterpolationOracle:
+    """Both testers against ``gn_constant_on_grid``, which takes u, grad u
+    and both norms on the grid instead of from coefficient weights."""
+
+    @pytest.mark.parametrize("p, r", [(6, 2), ("10/3", "10/3"), (2, 4)])
+    def test_director_constant_matches_grid_quadrature(self, bases_n, p, r):
+        db, _ = bases_n
+        traj = _director_trajectories(db, 2, 20)
+        got = interpolation_report(db, traj, p, r).empirical_constant
+        expect = gn_constant_on_grid(db, traj, p, r, director=True)
+        assert expect > 0.0
+        assert abs(got - expect) <= 1e-12 * expect
+
+    @pytest.mark.parametrize("p, r", [(6, 2), ("30/11", 5)])
+    def test_velocity_constant_matches_grid_quadrature(self, bases_n, p, r):
+        _, vb = bases_n
+        traj = _director_trajectories(vb, 2, 21)
+        got = velocity_interpolation_report(vb, traj, p, r).empirical_constant
+        expect = gn_constant_on_grid(vb, traj, p, r, director=False)
+        assert expect > 0.0
+        assert abs(got - expect) <= 1e-12 * expect
 
 
 @pytest.fixture(scope="module")

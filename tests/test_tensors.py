@@ -10,11 +10,10 @@ from elgal.tensors import (
     curl_from_gradient,
     frob,
     identity_4,
-    outer,
     trace_outer_4,
     transpose_4,
 )
-from oracles import component_major, is_component_major, is_symmetric_pair, sym_skw
+from oracles import component_major, is_component_major, is_symmetric_pair, outer, sym_skw
 
 finite = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
 mat3 = arrays(np.float64, (3, 3), elements=finite)
