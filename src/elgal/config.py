@@ -239,17 +239,20 @@ def _parse_directive(sec: _Section, key: str, default=("zero",), allow_constant=
         )
     if kind == "mode" and args[4].lower() not in ("cos", "sin"):
         raise ConfigError(f"key '{key}': parity must be cos or sin")
+    if kind == "zero":
+        return ("zero",)
+    if kind == "constant":
+        return ("constant", np.array([_number(key, x) for x in args]))
     try:
-        if kind == "zero":
-            return ("zero",)
-        if kind == "constant":
-            return ("constant", np.array([float(x) for x in args]))
-        if kind == "mode":
-            kx, ky, kz, branch = (int(x) for x in args[:4])
-            return ("mode", (kx, ky, kz), branch, args[4].lower(), float(args[5]))
-        return ("random", int(args[0]), float(args[1]))
-    except ValueError as exc:
-        raise ConfigError(f"key '{key}': malformed directive {raw!r}") from exc
+        ints = [int(x) for x in args[: 4 if kind == "mode" else 1]]
+    except ValueError:
+        raise ConfigError(f"key '{key}': malformed directive {raw!r}") from None
+    amp = _number(key, args[-1])
+    if kind == "mode":
+        return ("mode", tuple(ints[:3]), ints[3], args[4].lower(), amp)
+    if ints[0] < 0 or amp < 0:
+        raise ConfigError(f"key '{key}': random seed and amplitude must be nonnegative, got {raw!r}")
+    return ("random", ints[0], amp)
 
 
 def parse_config(path: str) -> SimulationConfig:

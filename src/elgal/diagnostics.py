@@ -18,6 +18,7 @@
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -214,9 +215,9 @@ class InequalityReport:
 
 
 def _as_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, (int, str)):
+    if isinstance(x, numbers.Rational):  # NumPy integers too, held as Python ints
+        return Fraction(int(x.numerator), int(x.denominator))
+    if isinstance(x, str):
         return Fraction(x)
     if isinstance(x, float):
         if not math.isfinite(x):

@@ -227,20 +227,14 @@ def convergence_suite(config: SimulationConfig) -> ConvergenceReport:
     State errors at the reference floor are reported as exact (order None).
     """
     base = dataclasses.replace(config, record_every=1)
-    reference = run(dataclasses.replace(base, dt=base.dt / 64.0)).final_state
-    ref_norm = max(
-        1.0,
-        float(np.max(np.abs(reference.v_hat), initial=0.0)),
-        float(np.max(np.abs(reference.d_hat), initial=0.0)),
-    )
+    final = run(dataclasses.replace(base, dt=base.dt / 64.0)).final_state
+    reference = np.concatenate((final.v_hat, final.d_hat))
+    ref_norm = max(1.0, float(np.max(np.abs(reference), initial=0.0)))
     dts, errors, residuals = [], [], []
     for div in (1, 2, 4):
         result = run(dataclasses.replace(base, dt=base.dt / div))
         final = result.final_state
-        err = max(
-            float(np.max(np.abs(final.v_hat - reference.v_hat), initial=0.0)),
-            float(np.max(np.abs(final.d_hat - reference.d_hat), initial=0.0)),
-        )
+        err = float(np.max(np.abs(np.concatenate((final.v_hat, final.d_hat)) - reference), initial=0.0))
         if err <= _EXACT_FLOOR * ref_norm:
             err = 0.0
         dts.append(base.dt / div)

@@ -24,10 +24,11 @@ pairings are exact for the retained modes (``transform_grid``).  With
 -(T : grad w_i) = (div T, w_i), T's band divergence joins the velocity
 forcing, so one ``analyze_spec_half`` gathers it all.
 
-Time stepping is fixed-step integrating-factor RK4: the diagonal linear
-parts (-gamma * sigma_i for director modes, -(mu4/2) |k|^2 for velocity
-modes) are integrated exactly through exponential factors, everything else
-by classical RK4 on the transformed variable.
+Time stepping is fixed-step integrating-factor RK4 on the stacked
+coefficient vector u = (v_hat, d_hat): its diagonal linear part ``lin``
+(-(mu4/2) |k|^2 for the velocity modes, then -gamma * sigma_i for the
+director modes) is integrated exactly through one exponential factor per
+step fraction, everything else by classical RK4 on the transformed variable.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import diagnostics
 from .basis import (
     COS,
     SIN,
@@ -117,9 +119,10 @@ class GalerkinSystem:
         self.forcing_v_hat = np.asarray(forcing_v_hat, dtype=float)
         if self.forcing_v_hat.shape != (velocity_basis.size,):
             raise ValueError("forcing coefficient vector does not match the velocity basis")
-        # Stiff diagonal parts integrated exactly by the stepper.
-        self.lin_v = -(coeffs.mu4 / 2.0) * velocity_basis.eigs
-        self.lin_d = -coeffs.gamma * director_basis.eigs
+        # Stiff diagonal of u = (v_hat, d_hat), integrated exactly by the stepper.
+        self.lin = np.concatenate(
+            (-(coeffs.mu4 / 2.0) * velocity_basis.eigs, -coeffs.gamma * director_basis.eigs)
+        )
         self._exp_cache: dict[float, tuple] = {}
 
     # -- field reconstruction ------------------------------------------------
@@ -169,7 +172,7 @@ class GalerkinSystem:
         spec = grid.rfft(self._pairing_bundle(fields)).reshape(-1, 15)
         dd_hat = -self.director_basis.analyze_spec_half(spec[:, 0:3]) - c.gamma * fields.q_hat
         force = spec[:, 3:6] + grid.divergence(spec[:, 6:15].reshape(-1, 3, 3))
-        dv_hat = self.forcing_v_hat + self.lin_v * state.v_hat
+        dv_hat = self.forcing_v_hat + self.lin[: self.velocity_basis.size] * state.v_hat
         dv_hat += self.velocity_basis.analyze_spec_half(force)
         return dv_hat, dd_hat
 
@@ -186,25 +189,21 @@ class GalerkinSystem:
         transport += c.lam * svd
         np.einsum("...ji,...j->...i", grad_d, q, out=force)
         force -= np.einsum("...ia,...a->...i", grad_v, v)  # convection
-        # The mu4 Sv part of the stress is the diagonal lin_v of assemble_rhs.
+        # The mu4 Sv part of the stress is the velocity slice of the diagonal lin.
         stress = planes[6:15].reshape(3, 3, n, n, n).transpose(2, 3, 4, 0, 1)
         coupling_stress(c, d, q, svd, out=stress)
         return planes.transpose(1, 2, 3, 0)
 
-    def _nonlinear(self, v_hat, d_hat, rhs=None):
-        dv, dd = self.assemble_rhs(SpectralState(0.0, v_hat, d_hat)) if rhs is None else rhs
-        return dv - self.lin_v * v_hat, dd - self.lin_d * d_hat
+    def _nonlinear(self, u, rhs=None):
+        nv = self.velocity_basis.size
+        rhs = self.assemble_rhs(SpectralState(0.0, u[:nv], u[nv:])) if rhs is None else rhs
+        return np.concatenate(rhs) - self.lin * u
 
     def _exps(self, dt: float):
         try:
             return self._exp_cache[dt]
         except KeyError:
-            exps = (
-                np.exp(self.lin_v * dt / 2.0),
-                np.exp(self.lin_v * dt),
-                np.exp(self.lin_d * dt / 2.0),
-                np.exp(self.lin_d * dt),
-            )
+            exps = (np.exp(self.lin * dt / 2.0), np.exp(self.lin * dt))
             self._exp_cache[dt] = exps
             return exps
 
@@ -217,21 +216,18 @@ class GalerkinSystem:
             raise ValueError("dt must be nonnegative")
         if dt == 0.0:
             return state.copy()
-        evh, evf, edh, edf = self._exps(dt)
-        v0, d0 = state.v_hat, state.d_hat
+        eh, ef = self._exps(dt)
+        u0 = np.concatenate((state.v_hat, state.d_hat))
 
-        av, ad = self._nonlinear(v0, d0, rhs)
-        bv, bd = self._nonlinear(evh * (v0 + 0.5 * dt * av), edh * (d0 + 0.5 * dt * ad))
-        cv, cd = self._nonlinear(evh * v0 + 0.5 * dt * bv, edh * d0 + 0.5 * dt * bd)
-        dv, dd = self._nonlinear(evf * v0 + dt * evh * cv, edf * d0 + dt * edh * cd)
+        a = self._nonlinear(u0, rhs)
+        b = self._nonlinear(eh * (u0 + 0.5 * dt * a))
+        c = self._nonlinear(eh * u0 + 0.5 * dt * b)
+        d = self._nonlinear(ef * u0 + dt * eh * c)
 
-        v1 = evf * v0 + (dt / 6.0) * (evf * av + 2.0 * evh * (bv + cv) + dv)
-        d1 = edf * d0 + (dt / 6.0) * (edf * ad + 2.0 * edh * (bd + cd) + dd)
-        if not (np.all(np.isfinite(v1)) and np.all(np.isfinite(d1))):
+        u1 = ef * u0 + (dt / 6.0) * (ef * a + 2.0 * eh * (b + c) + d)
+        if not np.all(np.isfinite(u1)) or np.max(np.abs(u1), initial=0.0) > BLOWUP_THRESHOLD:
             raise BlowUpError(state.t)
-        if max(np.max(np.abs(v1), initial=0.0), np.max(np.abs(d1), initial=0.0)) > BLOWUP_THRESHOLD:
-            raise BlowUpError(state.t)
-        return SpectralState(state.t + dt, v1, d1)
+        return SpectralState(state.t + dt, u1[: len(state.v_hat)], u1[len(state.v_hat) :])
 
 
 def _project_sampled(basis, field: np.ndarray) -> np.ndarray:
@@ -353,8 +349,6 @@ def run(config: SimulationConfig) -> SimulationResult:
     recorded states) and the first RK stage of the next step share them.  A
     ``BlowUpError`` carries the records made before it.
     """
-    from . import diagnostics  # local import to keep the module graph acyclic
-
     system = build_system(config)
     state = initial_state(config, system)
     n_steps = int(round(config.t_end / config.dt))
@@ -403,8 +397,7 @@ def save_checkpoint(path, state: SpectralState, config_hash: str, n_v: int, n_d:
             fh.write(_MAGIC)
             fh.write(config_hash.encode("ascii").ljust(64, b"0")[:64])
             fh.write(_COUNTS.pack(state.t, n_v, n_d))
-            fh.write(np.ascontiguousarray(state.v_hat, dtype="<f8").tobytes())
-            fh.write(np.ascontiguousarray(state.d_hat, dtype="<f8").tobytes())
+            fh.write(np.concatenate((state.v_hat, state.d_hat), dtype="<f8").tobytes())
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -429,7 +422,6 @@ def load_checkpoint(path) -> tuple[SpectralState, dict]:
             f"checkpoint {path}: expected {expected} bytes for {n_v} + {n_d} coefficients, "
             f"got {len(data)}"
         )
-    v_hat = np.frombuffer(data, "<f8", n_v, _HEADER_BYTES).astype(np.float64)
-    d_hat = np.frombuffer(data, "<f8", n_d, _HEADER_BYTES + 8 * n_v).astype(np.float64)
-    state = SpectralState(t, v_hat, d_hat)
+    u = np.frombuffer(data, "<f8", n_v + n_d, _HEADER_BYTES).astype(np.float64)
+    state = SpectralState(t, u[:n_v], u[n_v:])
     return state, {"config_hash": config_hash, "n_v": n_v, "n_d": n_d}

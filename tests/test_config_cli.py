@@ -452,6 +452,32 @@ class TestCli:
         assert f"key '{key}': must be finite" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "section, key, directive",
+        [
+            ("initial", "director", "random 1 nan"),
+            ("initial", "director", "random 1 inf"),
+            ("initial", "velocity", "random 1 -0.1"),
+            ("initial", "director", "random -1 0.1"),
+            ("initial", "velocity", "mode 0 0 1 0 cos inf"),
+            ("initial", "director", "constant nan 0 0"),
+            ("forcing", "velocity", "random 3 inf"),
+            ("forcing", "velocity", "random -3 0.1"),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_bad_directive_number_is_config_error(self, tmp_path, capsys, command, section, key, directive):
+        if section == "initial":
+            shipped = next(line for line in RUNNABLE.splitlines() if line.startswith(f"{key} ="))
+            text = RUNNABLE.replace(shipped, f"{key} = {directive}")
+        else:
+            text = RUNNABLE + f"\n[forcing]\n{key} = {directive}\n"
+        args = [command, write(tmp_path, text)]
+        if command == "run":
+            args += ["--outdir", str(tmp_path)]
+        assert main(args) == 2
+        assert f"key '{key}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
         "owner, key",
         [
             ("", "energy_slack"),  # RUNNABLE turns energy_monotonic on

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -301,6 +302,20 @@ class TestInterpolationInequalities:
         assert rep.empirical_constant == 1.0
         with pytest.raises(ValueError, match="r = inf"):
             velocity_interpolation_report(vb, [], 6, math.inf)
+
+    @pytest.mark.parametrize("int_type", [np.int64, np.int32])
+    def test_numpy_integer_exponents(self, bases, int_type):
+        for report, basis in ((interpolation_report, bases[0]), (velocity_interpolation_report, bases[1])):
+            traj = _director_trajectories(basis, 2, 4)
+            rep = report(basis, traj, int_type(6), int_type(2))
+            assert rep == report(basis, traj, 6, 2)
+            assert type(rep.p.numerator) is type(rep.r.numerator) is int
+
+    @pytest.mark.parametrize("p, error", [(Decimal(6), TypeError), ([6], TypeError), (math.nan, ValueError)])
+    def test_uninterpretable_exponent_rejected(self, bases, p, error):
+        for report, basis in ((interpolation_report, bases[0]), (velocity_interpolation_report, bases[1])):
+            with pytest.raises(error):
+                report(basis, [], p, 2)
 
     def test_empirical_constants_stable_across_sample_sets(self, bases):
         db, _ = bases

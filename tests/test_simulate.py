@@ -26,6 +26,7 @@ from elgal.energies import (
 from elgal.leslie import coupling_stress
 from elgal.scenarios import _base_config
 from elgal.simulate import (
+    BLOWUP_THRESHOLD,
     BlowUpError,
     GalerkinSystem,
     SpectralState,
@@ -43,6 +44,7 @@ from oracles import (
     gateaux_check,
     gradient_of,
     grid_assemble_rhs,
+    if_rk4_step,
     is_component_major,
     l2_norm,
     pairing_bundle,
@@ -58,6 +60,20 @@ WORKLOADS = {
     ),
     "sof-twist-n16": parse_config(CONFIGS / "sof_twist.cfg"),
     "scof-n16": dataclasses.replace(parse_config(CONFIGS / "scaled_anisotropy.cfg"), n=16),
+}
+
+# Configs on which the stepper is checked against the per-component oracle.
+STEPPED = {
+    "gl-n8": _base_config(
+        n=8,
+        initial_velocity=("random", 2, 0.3),
+        initial_director=("random", 3, 0.3),
+        forcing_velocity=("mode", (0, 0, 1), 0, "cos", 0.05),
+    ),
+    **{
+        name: parse_config(CONFIGS / f"{name}.cfg")
+        for name in ("sof_twist", "scaled_anisotropy", "with_freedom_anisotropy")
+    },
 }
 
 WITH_FREEDOM = _base_config(
@@ -307,6 +323,29 @@ class TestStep:
         e1, e2 = err(2e-2), err(1e-2)
         ratio = e1 / e2
         assert 11.0 < ratio < 23.0, (e1, e2, ratio)
+
+    @pytest.mark.parametrize("cfg", STEPPED.values(), ids=STEPPED)
+    def test_matches_per_component_oracle(self, cfg):
+        system = build_system(cfg)
+        state = expect = initial_state(cfg, system)
+        for _ in range(3):
+            state, expect = system.step(state, cfg.dt), if_rk4_step(system, expect, cfg.dt)
+            assert state.t == expect.t
+            assert state.v_hat.tobytes() == expect.v_hat.tobytes()
+            assert state.d_hat.tobytes() == expect.d_hat.tobytes()
+
+    @pytest.mark.parametrize("value", [np.nan, 2.0 * BLOWUP_THRESHOLD], ids=["nan", "huge"])
+    def test_director_blow_up_detected(self, dirichlet8, value):
+        # Only the director is bad, in a constant mode: under the Dirichlet
+        # energy that mode neither relaxes nor drives the flow, so a huge
+        # value stays in the director and only its threshold test sees it.
+        system, _ = dirichlet8
+        d_hat = np.zeros(system.director_basis.size)
+        d_hat[np.flatnonzero(system.director_basis.is_const)[0]] = value
+        state = SpectralState(0.5, np.zeros(system.velocity_basis.size), d_hat)
+        with pytest.raises(BlowUpError) as info:
+            system.step(state, 1e-3)
+        assert info.value.last_good_time == 0.5
 
 
 class TestRun:
