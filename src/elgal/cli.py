@@ -6,22 +6,25 @@ Subcommands:
     convergence <config>                  dt, dt/2, dt/4 self-convergence study
     inequalities <config>                 empirical interpolation constants
 
-Exit codes: 0 all assertions pass, 1 assertion failure, 2 configuration
-error, 3 numerical blow-up.  Output directory of run: --outdir flag, else
-the ELGAL_OUTDIR environment variable, else the config [io] outdir, else ".".
+validate builds the system that run builds and resolves every [initial] and
+[forcing] directive, so it refuses every config that run refuses.  Exit codes:
+0 all assertions pass, 1 assertion failure, 2 configuration error, 3 numerical
+blow-up.  Output directory of run: --outdir flag, else the ELGAL_OUTDIR
+environment variable, else the config [io] outdir, else ".".
 """
 
 from __future__ import annotations
 
 import argparse
 import ctypes
+import dataclasses
 import os
 import sys
 
 import numpy as np
 
 from . import diagnostics
-from .basis import SpectralGrid, build_director_basis, build_velocity_basis
+from .basis import SpectralGrid
 from .config import ConfigError, parse_config
 from .energies import (
     check_coercivity,
@@ -31,7 +34,7 @@ from .energies import (
 )
 from .leslie import check_dissipativity, check_parodi
 from .scenarios import BUILTIN_SCENARIOS, Scenario, convergence_suite, run_scenario
-from .simulate import BlowUpError, run, transform_grid
+from .simulate import BlowUpError, build_system, initial_state, run, transform_grid
 
 
 # glibc mallopt parameters and the values pinned for the CLI process: the
@@ -99,8 +102,11 @@ def _cmd_run(args) -> int:
 
 def _cmd_validate(args) -> int:
     config = parse_config(args.config)
-    coeffs = config.build_coefficients()
-    model = config.build_model()
+    # The system run builds, with the [initial] directives resolved as run
+    # resolves them; the dissipativity verdict is printed here, not refused.
+    system = build_system(dataclasses.replace(config, allow_nondissipative=True))
+    initial_state(config, system)
+    model, coeffs, basis = system.model, system.coeffs, system.director_basis
 
     margins = check_dissipativity(coeffs)
     ok = margins.passed
@@ -111,15 +117,13 @@ def _cmd_validate(args) -> int:
     print(f"    kappa = {margins.kappa:+.6g}  delta = {margins.delta:.6g}")
     print(f"parodi (informational): {'holds' if check_parodi(coeffs) else 'does not hold'}")
 
-    grid = SpectralGrid(config.n)
-    basis = build_director_basis(model.d2F_dS2_const(), grid, config.n_d)
     try:
         c_lambda = basis.regularity_constant()
         c_h2 = basis.h2_norm_constant()
     except ValueError as exc:
         raise ConfigError(f"key 'n_d': {exc}; the calibration needs a non-constant mode") from exc
     print(f"calibration: c_lambda = {c_lambda:.6g}, c_h2 = {c_h2:.6g}")
-    print(transform_grid(config.n, model, build_velocity_basis(grid, config.n_v), basis))
+    print(transform_grid(config.n, model, system.velocity_basis, basis))
 
     for report in (
         check_legendre_hadamard(model),

@@ -48,7 +48,7 @@ class EnergyRecord:
     free: float
     diss_mu1: float
     diss_mu4: float
-    diss_a: float
+    diss_A: float
     diss_gamma_q: float
     cross: float
     g_power: float
@@ -60,22 +60,10 @@ class EnergyRecord:
 
     @property
     def dissipation(self) -> float:
-        return self.diss_mu1 + self.diss_mu4 + self.diss_a + self.diss_gamma_q
+        return self.diss_mu1 + self.diss_mu4 + self.diss_A + self.diss_gamma_q
 
     def row(self) -> tuple:
-        return (
-            self.t,
-            self.kinetic,
-            self.free,
-            self.total,
-            self.diss_mu1,
-            self.diss_mu4,
-            self.diss_a,
-            self.diss_gamma_q,
-            self.cross,
-            self.g_power,
-            self.residual,
-        )
+        return tuple(getattr(self, c) for c in LEDGER_COLUMNS)
 
 
 def energy_ledger(system, state, fields=None) -> EnergyRecord:
@@ -98,7 +86,7 @@ def energy_ledger(system, state, fields=None) -> EnergyRecord:
         free=total_energy(system.model, d, grad_d, grid.cell_volume),
         diss_mu1=c.mu1 * d_svd_sq,
         diss_mu4=c.mu4 * sym_grad_sq(system.velocity_basis, state.v_hat),
-        diss_a=c.anisotropy * svd_sq,
+        diss_A=c.anisotropy * svd_sq,
         diss_gamma_q=c.gamma * float(q_hat @ q_hat),
         cross=c.kappa * grid.quad(np.einsum("...i,...i->...", q, svd)),
         g_power=float(system.forcing_v_hat @ state.v_hat),

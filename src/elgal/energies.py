@@ -598,6 +598,13 @@ class ConditionReport:
         )
 
 
+def _sampled_report(name, values, idx, bound, passed, samples, note="") -> ConditionReport:
+    """The report of a sampled check whose worst sample is ``idx``; ``samples``
+    names the sampled arrays, indexed like ``values``."""
+    worst_point = {key: arr[idx] for key, arr in samples.items()}
+    return ConditionReport(name, bool(passed), float(values[idx]), bound, worst_point, len(values), note)
+
+
 def _fibonacci_sphere(n: int) -> np.ndarray:
     i = np.arange(n)
     z = 1.0 - 2.0 * (i + 0.5) / n
@@ -686,14 +693,7 @@ def check_legendre_hadamard(model: FreeEnergyModel, n_samples: int = 2000) -> Co
     idx = int(np.argmin(form))
     eta = model.ellipticity_constant()
     passed = eta > 0.0 and form[idx] >= eta * (1.0 - 1e-12) - 1e-14
-    return ConditionReport(
-        name="legendre_hadamard",
-        passed=bool(passed),
-        worst_value=float(form[idx]),
-        bound=eta,
-        worst_point={"a": aa[idx], "b": bb[idx]},
-        n_samples=len(form),
-    )
+    return _sampled_report("legendre_hadamard", form, idx, eta, passed, {"a": aa, "b": bb})
 
 
 def check_coercivity(model: FreeEnergyModel, n_samples: int = 4000, radius: float = 3.0) -> ConditionReport:
@@ -706,15 +706,8 @@ def check_coercivity(model: FreeEnergyModel, n_samples: int = 4000, radius: floa
     margin = f - e1 * _norm2(s, (-2, -1)) + e2 * _norm2(h, -1) + e3
     idx = int(np.argmin(margin))
     tol = 1e-10 * max(1.0, radius * radius)
-    return ConditionReport(
-        name="coercivity",
-        passed=bool(margin[idx] >= -tol),
-        worst_value=float(margin[idx]),
-        bound=0.0,
-        worst_point={"h": h[idx], "S": s[idx]},
-        n_samples=len(margin),
-        note=f"eta=({e1:.3g},{e2:.3g},{e3:.3g})",
-    )
+    note = f"eta=({e1:.3g},{e2:.3g},{e3:.3g})"
+    return _sampled_report("coercivity", margin, idx, 0.0, margin[idx] >= -tol, {"h": h, "S": s}, note)
 
 
 def check_growth(model: FreeEnergyModel, n_samples: int = 4000, radius: float = 10.0) -> ConditionReport:
@@ -735,15 +728,8 @@ def check_growth(model: FreeEnergyModel, n_samples: int = 4000, radius: float = 
         ratio_m = np.zeros_like(ratio_h)
     ratios = np.maximum(ratio_h, ratio_m)
     idx = int(np.argmax(ratios))
-    return ConditionReport(
-        name="growth",
-        passed=bool(ratios[idx] <= 1.0 + 1e-12),
-        worst_value=float(ratios[idx]),
-        bound=1.0,
-        worst_point={"h": h[idx], "S": s[idx]},
-        n_samples=len(ratios),
-        note=f"gamma=({ge.gamma1:.4g},{ge.gamma2:.4g},{ge.gamma3:.4g})",
-    )
+    note = f"gamma=({ge.gamma1:.4g},{ge.gamma2:.4g},{ge.gamma3:.4g})"
+    return _sampled_report("growth", ratios, idx, 1.0, ratios[idx] <= 1.0 + 1e-12, {"h": h, "S": s}, note)
 
 
 def check_theta_bound(
@@ -773,11 +759,4 @@ def check_theta_bound(
     th = model.d2F_dS2_vary(h, s)
     norms = np.sqrt(np.sum(th * th, axis=(-4, -3, -2, -1)))
     idx = int(np.argmax(norms))
-    return ConditionReport(
-        name="theta_bound",
-        passed=bool(norms[idx] <= bound),
-        worst_value=float(norms[idx]),
-        bound=bound,
-        worst_point={"h": h[idx], "S": s[idx]},
-        n_samples=len(norms),
-    )
+    return _sampled_report("theta_bound", norms, idx, bound, norms[idx] <= bound, {"h": h, "S": s})

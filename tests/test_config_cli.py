@@ -17,6 +17,7 @@ from elgal.diagnostics import test_velocity_interpolation as velocity_interpolat
 from elgal.energies import GinzburgLandau, ScaledOseenFrank, SimplifiedOseenFrank, WithField, WithFreedom
 from elgal.scenarios import BUILTIN_SCENARIOS
 from elgal.simulate import run
+from elgal.tensors import identity_4
 
 CONFIGS = Path(__file__).resolve().parent.parent / "scripts" / "configs"
 
@@ -328,6 +329,44 @@ energy_monotonic = on
 """
 
 
+# Full stdout of ``elgal validate`` on two shipped configs.  Scaled
+# anisotropy samples the state-dependent Hessian part and the mixed terms.
+VALIDATE_TRANSCRIPTS = {
+    "gl_mixing": """\
+dissipativity: pass
+            mu1: +1
+            mu4: +1
+          gamma: +0.5
+     anisotropy: +1
+       coupling: +1.75
+    kappa = -0.5  delta = 0.353553
+parodi (informational): does not hold
+calibration: c_lambda = 1.73205, c_h2 = 1.73205
+grid: N = 16, transform grid 8 (degree 6, k_max 1)
+legendre_hadamard: pass  worst=1 bound=1  (4009 samples)
+coercivity: pass  worst=0.59 bound=0  (4630 samples) - eta=(0.5,0.5,0.25)
+growth: pass  worst=0.494449 bound=1  (5008 samples) - gamma=(2,6,0)
+theta_bound: pass  worst=0 bound=0.0625  (0 samples) - state-dependent Hessian part vanishes identically
+""",
+    "scaled_anisotropy": """\
+dissipativity: pass
+            mu1: +1
+            mu4: +1
+          gamma: +0.5
+     anisotropy: +1
+       coupling: +1.75
+    kappa = -0.5  delta = 0.353553
+parodi (informational): does not hold
+calibration: c_lambda = 1.73205, c_h2 = 1.73205
+grid: N = 8, transform grid 8 (energy not polynomial)
+legendre_hadamard: pass  worst=1 bound=1  (4009 samples)
+coercivity: pass  worst=3.81179e-06 bound=0  (4630 samples) - eta=(0.5,0,0)
+growth: pass  worst=0.245023 bound=1  (5008 samples) - gamma=(3,6,1)
+theta_bound: pass  worst=0.0299033 bound=0.0625  (2630 samples)
+""",
+}
+
+
 class TestCli:
     def test_run_config_file(self, tmp_path, capsys):
         path = write(tmp_path, RUNNABLE)
@@ -550,6 +589,54 @@ class TestCli:
         out = capsys.readouterr().out
         assert "theta_bound: FAIL" in out
         assert "grid: N = 16, transform grid 16 (energy not polynomial)" in out
+
+    @pytest.mark.parametrize(
+        "shipped, edit",
+        [
+            ("velocity = random 0 0.1", "velocity = mode 0 0 1 7 cos 0.3"),  # no such branch
+            ("velocity = random 0 0.1", "velocity = mode 1 1 1 0 sin 0.1"),  # k_max 1, not among the 36
+            ("director = random 1 0.1", "director = mode 2 0 0 0 cos 0.1"),
+            ("velocity = mode 0 0 1 0 cos 0.05", "velocity = mode 0 0 2 0 cos 0.05"),  # [forcing]
+        ],
+    )
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_mode_outside_retained_basis_is_config_error(self, tmp_path, capsys, command, shipped, edit):
+        text = (CONFIGS / "gl_mixing.cfg").read_text()
+        assert text.count(shipped) == 1
+        args = [command, write(tmp_path, text.replace(shipped, edit))]
+        if command == "run":
+            args += ["--outdir", str(tmp_path)]
+        assert main(args) == 2
+        key = edit.split(" = ")[0]
+        assert re.search(rf"key '{key}': mode k=.* not in retained basis", capsys.readouterr().err)
+
+    @pytest.mark.parametrize("n, n_v, n_d", [(8, 248, 375), (10, 684, 1029), (16, 2660, 3993)])
+    def test_mode_capacity_is_the_full_basis_size(self, tmp_path, n, n_v, n_d):
+        grid = SpectralGrid(n)
+        assert build_velocity_basis(grid).size == n_v
+        assert build_director_basis(identity_4(), grid).size == n_d
+        for key, cap in (("n_v", n_v), ("n_d", n_d)):
+            text = MINIMAL.replace("N = 16", f"N = {n}\n{key} = {cap}")
+            assert getattr(parse_config(write(tmp_path, text)), key) == cap
+            text = MINIMAL.replace("N = 16", f"N = {n}\n{key} = {cap + 1}")
+            with pytest.raises(ConfigError, match=f"key '{key}': {cap + 1} exceeds grid capacity {cap}$"):
+                parse_config(write(tmp_path, text))
+
+    @pytest.mark.parametrize("key, cap", [("n_v", 248), ("n_d", 375)])
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_commands_accept_mode_capacity_and_refuse_one_more(self, tmp_path, capsys, command, key, cap):
+        one_step = MINIMAL.replace("t_end = 0.1", "t_end = 1e-3")
+        for count, code in ((cap, 0), (cap + 1, 2)):
+            args = [command, write(tmp_path, one_step.replace("N = 16", f"N = 8\n{key} = {count}"))]
+            if command == "run":
+                args += ["--outdir", str(tmp_path)]
+            assert main(args) == code
+        assert f"key '{key}': {cap + 1} exceeds grid capacity {cap}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", sorted(VALIDATE_TRANSCRIPTS))
+    def test_validate_transcript_of_shipped_config(self, capsys, name):
+        assert main(["validate", str(CONFIGS / f"{name}.cfg")]) == 0
+        assert capsys.readouterr().out == VALIDATE_TRANSCRIPTS[name]
 
     def test_convergence_command(self, tmp_path, capsys):
         text = RUNNABLE.replace("dt = 1e-3", "dt = 4e-3").replace(

@@ -62,7 +62,7 @@ class TestEnergyLedger:
         )
         rec = energy_ledger(system, state)
         assert rec.kinetic == 0.0
-        assert rec.diss_mu1 == rec.diss_mu4 == rec.diss_a == rec.diss_gamma_q == 0.0
+        assert rec.diss_mu1 == rec.diss_mu4 == rec.diss_A == rec.diss_gamma_q == 0.0
         assert rec.cross == 0.0 and rec.g_power == 0.0
         assert rec.free == pytest.approx((2 * np.pi) ** 3 / 4, rel=1e-12)
 
@@ -135,7 +135,7 @@ class TestResidualSeries:
         c = result.system.coeffs
         margins = check_dissipativity(c)
         for rec in result.records:
-            svd_sq = rec.diss_a / c.anisotropy
+            svd_sq = rec.diss_A / c.anisotropy
             q_sq = rec.diss_gamma_q / c.gamma
             floor = margins.alpha * svd_sq + margins.beta * q_sq
             lhs = rec.dissipation - rec.cross
