@@ -48,7 +48,6 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import qmc
 
 from .tensors import (
     Mat3,
@@ -633,12 +632,33 @@ def _matrix_directions() -> np.ndarray:
     return np.array(dirs)
 
 
+_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43)
+
+
 def _halton_points(n: int, dim: int) -> np.ndarray:
-    return qmc.Halton(d=dim, scramble=False, seed=0).random(n)
+    """The first ``n`` unscrambled Halton points in [0, 1)^dim, dim <= 14.
+
+    Coordinate k of point i is the radical inverse of i in the k-th prime p:
+    sum_j digit_j(i, p) p^(-j-1), digits least significant first, so point 0
+    is the origin. The digits are summed in scipy's order, so the points equal
+    scipy's unscrambled sampler, ``qmc.Halton(d=dim, scramble=False).random(n)``,
+    exactly.
+    """
+    out = np.zeros((dim, n))
+    for x, p in zip(out, _PRIMES[:dim]):
+        q = np.arange(n)
+        scale = 1.0 / p
+        while q.any():
+            x += (q % p) * scale
+            scale /= p
+            q //= p
+    return out.T
 
 
 def _sample_h_s(n_samples: int, radius: float, log_radial: bool = False):
     """Deterministic (h, S) samples with |h|, |S| <= radius."""
+    if n_samples < 1:
+        raise ValueError("n_samples must be >= 1")
     u = _halton_points(max(n_samples, 16), 14)
     hdir = u[:, 0:3] * 2.0 - 1.0
     hdir /= np.maximum(np.linalg.norm(hdir, axis=-1, keepdims=True), 1e-12)
@@ -744,6 +764,8 @@ def check_theta_bound(
         raise ValueError("c_lambda and c_h2 must be positive")
     if radius <= 0:
         raise ValueError("radius must be positive")
+    if n_samples < 1:
+        raise ValueError("n_samples must be >= 1")
     bound = c_lambda / (16.0 * c_h2)
     if not model.has_theta:
         return ConditionReport(

@@ -15,6 +15,7 @@ from elgal.energies import (
     SimplifiedOseenFrank,
     WithField,
     WithFreedom,
+    _halton_points,
     check_coercivity,
     check_growth,
     check_legendre_hadamard,
@@ -532,6 +533,42 @@ class TestThetaBound:
         assert not check_theta_bound(model, c_lam, c_h2, 2000).passed
         with pytest.raises(ValueError, match="radius"):
             check_theta_bound(model, c_lam, c_h2, 2000, radius=radius)
+
+
+PRIMES_14 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43)
+
+
+class TestHaltonPoints:
+    def test_leading_rows_are_radical_inverses(self):
+        u = _halton_points(3, 14)
+        assert np.array_equal(u[0], np.zeros(14))
+        assert np.array_equal(u[1], [1 / p for p in PRIMES_14])
+        assert np.array_equal(u[2], [1 / 4] + [2 / p for p in PRIMES_14[1:]])
+
+    @pytest.mark.parametrize("n", [16, 2000, 4000, 20000])
+    def test_equal_to_scipy_unscrambled_halton(self, n):
+        from scipy.stats import qmc
+
+        want = qmc.Halton(d=14, scramble=False, seed=0).random(n)
+        assert np.array_equal(_halton_points(n, 14), want)
+
+
+@pytest.mark.parametrize("n_samples", [0, -3])
+@pytest.mark.parametrize(
+    "check",
+    [
+        lambda n: check_legendre_hadamard(GinzburgLandau(1.0), n),
+        lambda n: check_coercivity(GinzburgLandau(1.0), n),
+        lambda n: check_growth(GinzburgLandau(1.0), n),
+        # Without Theta the check returns before it samples.
+        lambda n: check_theta_bound(GinzburgLandau(1.0), 1.0, 1.0, n),
+        lambda n: check_theta_bound(ScaledOseenFrank(1.5, 1.0, 0.009, 0.009, 0.25, eps=1.0), 1.0, 1.0, n),
+    ],
+    ids=["legendre_hadamard", "coercivity", "growth", "theta_bound_no_theta", "theta_bound"],
+)
+def test_checkers_reject_sample_count_below_one(check, n_samples):
+    with pytest.raises(ValueError, match="n_samples must be >= 1"):
+        check(n_samples)
 
 
 class TestNullLagrangianProperties:
