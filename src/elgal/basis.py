@@ -74,8 +74,9 @@ so all are exact once P k_max < n with P = max(6, deg F), and
 ``transform_grid_size`` picks the smallest such even n >= 8, capped at N.
 The bases then give the same coefficients on that grid as on the N grid,
 up to rounding.  An energy that is not a polynomial in (d, S) has no P and
-keeps N; so do bases too rich for P k_max < N, where, as the cutoff
-guarantees, products of up to three retained fields stay exact.
+keeps N here (the solver then sizes its grid by measurement); so do bases
+too rich for P k_max < N, where, as the cutoff guarantees, products of up
+to three retained fields stay exact.
 """
 
 from __future__ import annotations

@@ -34,7 +34,7 @@ from .energies import (
 )
 from .leslie import check_dissipativity, check_parodi
 from .scenarios import BUILTIN_SCENARIOS, Scenario, convergence_suite, run_scenario
-from .simulate import BlowUpError, build_system, initial_state, run, transform_grid
+from .simulate import BlowUpError, build_system, fit_transform_grid, initial_state, run
 
 
 # glibc mallopt parameters and the values pinned for the CLI process: the
@@ -103,9 +103,10 @@ def _cmd_run(args) -> int:
 def _cmd_validate(args) -> int:
     config = parse_config(args.config)
     # The system run builds, with the [initial] directives resolved as run
-    # resolves them; the dissipativity verdict is printed here, not refused.
+    # resolves them and its grid sized on that state as run sizes it; the
+    # dissipativity verdict is printed here, not refused.
     system = build_system(dataclasses.replace(config, allow_nondissipative=True))
-    initial_state(config, system)
+    system = fit_transform_grid(system, initial_state(config, system))
     model, coeffs, basis = system.model, system.coeffs, system.director_basis
 
     margins = check_dissipativity(coeffs)
@@ -123,7 +124,7 @@ def _cmd_validate(args) -> int:
     except ValueError as exc:
         raise ConfigError(f"key 'n_d': {exc}; the calibration needs a non-constant mode") from exc
     print(f"calibration: c_lambda = {c_lambda:.6g}, c_h2 = {c_h2:.6g}")
-    print(transform_grid(config.n, model, system.velocity_basis, basis))
+    print(system.transform)
 
     for report in (
         check_legendre_hadamard(model),

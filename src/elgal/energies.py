@@ -107,6 +107,9 @@ class FreeEnergyModel(ABC):
     # Total polynomial degree of F in (h, S), or None when F is not a
     # polynomial; the solver sizes its quadrature grid from it.
     degree: int | None = None
+    # Whether F holds data sampled on the configured grid, so that no other
+    # grid can evaluate it.
+    grid_sampled: bool = False
 
     @abstractmethod
     def evaluate(self, h: Vec3, s: Mat3) -> np.ndarray: ...
@@ -206,6 +209,7 @@ class WithField(FreeEnergyModel):
         self.has_mixed = base.has_mixed
         # A grid-sampled H is not a polynomial in (h, S).
         self.degree = base.degree if self.field.ndim == 1 else None
+        self.grid_sampled = base.grid_sampled or self.field.ndim > 1
 
     def evaluate(self, h, s):
         hdot = np.einsum("...i,...i->...", h, self.field)
@@ -260,6 +264,7 @@ class WithFreedom(FreeEnergyModel):
         self.has_mixed = base.has_mixed or bool(np.any(self.b != 0.0))
         # The added terms are quadratic, no higher than any base.
         self.degree = base.degree
+        self.grid_sampled = base.grid_sampled
 
     def evaluate(self, h, s):
         sb = np.einsum("...ij,j->...i", s, self.b)

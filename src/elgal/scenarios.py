@@ -10,7 +10,7 @@ import numpy as np
 
 from . import diagnostics
 from .config import SimulationConfig
-from .simulate import BlowUpError, run, save_checkpoint, transform_grid
+from .simulate import BlowUpError, run, save_checkpoint
 
 
 @dataclass(frozen=True)
@@ -189,9 +189,7 @@ def run_scenario(scenario: Scenario, outdir: str = ".") -> ScenarioOutcome:
     checks = _evaluate_assertions(result)
     messages = [f"{'PASS' if ok else 'FAIL'}  {name}: {info}" for name, ok, info in checks]
     exit_code = 0 if all(ok for _, ok, _ in checks) else 1
-    s = result.system
-    grid = transform_grid(scenario.config.n, s.model, s.velocity_basis, s.director_basis)
-    _write_report(report_path, scenario, result.records, [str(grid)] + messages)
+    _write_report(report_path, scenario, result.records, [str(result.system.transform)] + messages)
     return ScenarioOutcome(scenario.name, exit_code, messages, ledger_path, report_path)
 
 

@@ -20,9 +20,13 @@ mixed terms) and the coupling stress T - mu4 Sv go through the grid.  All
 nonlinear pairings are evaluated pseudospectrally by grid quadrature, so the
 semi-discrete energy balance holds to rounding error.  ``build_system`` runs
 the transforms on the smallest grid, up to the configured N, on which those
-pairings are exact for the retained modes (``transform_grid``).  With
--(T : grad w_i) = (div T, w_i), T's band divergence joins the velocity
-forcing, so one ``analyze_spec_half`` gathers it all.
+pairings are exact for the retained modes (``transform_grid``).  An energy
+that is not polynomial has no such grid, so ``build_system`` keeps N and
+``fit_transform_grid`` then measures, on the initial state, the smallest
+grid whose q_hat matches N's to rounding; ``run`` re-checks that at every
+record and moves to N for good when it fails.  With -(T : grad w_i) =
+(div T, w_i), T's band divergence joins the velocity forcing, so one
+``analyze_spec_half`` gathers it all.
 
 Time stepping is fixed-step integrating-factor RK4 on the stacked
 coefficient vector u = (v_hat, d_hat): its diagonal linear part ``lin``
@@ -106,9 +110,14 @@ class GalerkinSystem:
         velocity_basis: VelocityBasis,
         director_basis: DirectorBasis,
         forcing_v_hat: np.ndarray | None = None,
+        transform: TransformGrid | None = None,
     ):
         if not velocity_basis.grid == grid == director_basis.grid:
             raise ValueError("both bases must be on the system's grid (see on_grid)")
+        # The grid decision this system runs on; by default the given grid is N.
+        if transform is None:
+            transform = transform_grid(grid.n, model, velocity_basis, director_basis)._replace(n_q=grid.n)
+        self.transform = transform
         self.model = model
         self.coeffs = coeffs
         self.grid = grid
@@ -278,19 +287,35 @@ def _coefs_from_directive(directive, basis, kind: str) -> np.ndarray:
 FLOW_DEGREE = 6
 
 
+# Largest max|q_hat on n - q_hat on N| / max|q_hat on N| at which a grid n
+# < N stands in for N when F is not polynomial: rounding level.
+ALIAS_TOL = 1e-14
+
+
 class TransformGrid(NamedTuple):
-    """The quadrature grid chosen for a model and its two bases."""
+    """The quadrature grid chosen for a model and its two bases: by the
+    product degree for a polynomial F, else measured on the initial state
+    (``fit_transform_grid``)."""
 
     n: int  # configured N, the largest transform grid
-    n_q: int  # transform grid used
+    n_q: int  # transform grid chosen
     degree: int | None  # highest product degree, None for a non-polynomial F
     k_max: int
+    # For a non-polynomial F sized below N: the measured relative q_hat
+    # difference from N at t = 0, and the time of the record whose re-check
+    # moved the run to N (it ran on n_q before, on N from there).
+    estimate: float | None = None
+    moved_at: float | None = None
 
     def __str__(self) -> str:
-        if self.degree is None:
+        if self.degree is not None:
+            why = f"degree {self.degree}, k_max {self.k_max}"
+        elif self.estimate is None:
             why = "energy not polynomial"
         else:
-            why = f"degree {self.degree}, k_max {self.k_max}"
+            why = f"energy not polynomial; q_hat within {self.estimate:.2g} of N = {self.n} at t = 0"
+            if self.moved_at is not None:
+                why += f"; moved to N at t = {self.moved_at:.6g}"
         return f"grid: N = {self.n}, transform grid {self.n_q} ({why})"
 
 
@@ -298,10 +323,51 @@ def transform_grid(
     n: int, model: FreeEnergyModel, velocity_basis: VelocityBasis, director_basis: DirectorBasis
 ) -> TransformGrid:
     """The smallest grid on which every pairing of the system is
-    quadrature-exact, capped at N = n; n when F is not polynomial."""
+    quadrature-exact, capped at N = n.  When F is not polynomial this is n;
+    ``fit_transform_grid`` then sizes the grid by measurement."""
     degree = None if model.degree is None else max(FLOW_DEGREE, model.degree)
     k_max = max(velocity_basis.k_max, director_basis.k_max)
     return TransformGrid(n, transform_grid_size(n, k_max, degree), degree, k_max)
+
+
+def _alias_error(q_hat: np.ndarray, q_ref: np.ndarray) -> float:
+    """max|q_hat - q_ref| relative to max|q_ref|; 0 when both vanish."""
+    err = float(np.max(np.abs(q_hat - q_ref), initial=0.0))
+    scale = float(np.max(np.abs(q_ref), initial=0.0))
+    return err / scale if scale > 0.0 else (0.0 if err == 0.0 else np.inf)
+
+
+def fit_transform_grid(system: GalerkinSystem, state: SpectralState) -> GalerkinSystem:
+    """``system`` on the smallest grid whose q_hat at ``state`` is within
+    ``ALIAS_TOL`` of the N grid's, for an energy that is not polynomial.
+
+    The candidates are the even n from the grid that makes every flow
+    pairing exact (``FLOW_DEGREE``) up to N - 2.  ``system`` itself comes
+    back when F is polynomial (``build_system`` already sized it), when it
+    holds data sampled on the N grid, when no candidate lies below N or
+    when none passes.  Both bases are re-homed with ``on_grid``, so the
+    coefficients of ``state`` stay valid.
+    """
+    tg = system.transform
+    start = transform_grid_size(tg.n, tg.k_max, FLOW_DEGREE)
+    if tg.degree is not None or system.model.grid_sampled or system.grid.n != tg.n or start >= tg.n:
+        return system
+    q_ref = system.director_eval(state.d_hat)[2]
+    for n_q in range(start, tg.n, 2):
+        grid = SpectralGrid(n_q, tg.k_max)
+        dirb = system.director_basis.on_grid(grid)
+        estimate = _alias_error(energy_gradient(system.model, dirb, state.d_hat)[2], q_ref)
+        if estimate <= ALIAS_TOL:
+            return GalerkinSystem(
+                system.model,
+                system.coeffs,
+                grid,
+                system.velocity_basis.on_grid(grid),
+                dirb,
+                forcing_v_hat=system.forcing_v_hat,
+                transform=tg._replace(n_q=n_q, estimate=estimate),
+            )
+    return system
 
 
 def build_system(config: SimulationConfig) -> GalerkinSystem:
@@ -321,7 +387,7 @@ def build_system(config: SimulationConfig) -> GalerkinSystem:
     grid = SpectralGrid(tg.n_q, tg.k_max)
     vel, dirb = vel.on_grid(grid), dirb.on_grid(grid)
     forcing = _coefs_from_directive(config.forcing_velocity, vel, "velocity")
-    return GalerkinSystem(model, coeffs, grid, vel, dirb, forcing_v_hat=forcing)
+    return GalerkinSystem(model, coeffs, grid, vel, dirb, forcing_v_hat=forcing, transform=tg)
 
 
 @dataclass
@@ -348,9 +414,14 @@ def run(config: SimulationConfig) -> SimulationResult:
     The grid fields of each state are evaluated once: the ledger record (for
     recorded states) and the first RK stage of the next step share them.  A
     ``BlowUpError`` carries the records made before it.
+
+    A run that ``fit_transform_grid`` put below N re-evaluates q_hat on N at
+    every later record.  Where the two differ by more than ``ALIAS_TOL``,
+    that record and the rest of the run are made on N.
     """
-    system = build_system(config)
-    state = initial_state(config, system)
+    full = build_system(config)
+    state = initial_state(config, full)
+    system = fit_transform_grid(full, state)
     n_steps = int(round(config.t_end / config.dt))
     states = [state]
     fields = system.fields(state)
@@ -364,11 +435,17 @@ def run(config: SimulationConfig) -> SimulationResult:
             state = SpectralState(i * config.dt, state.v_hat, state.d_hat)
             fields = system.fields(state)
             if i % config.record_every == 0 or i == n_steps:
+                if system is not full:
+                    q_full = full.director_eval(state.d_hat)[2]
+                    if _alias_error(fields.q_hat, q_full) > ALIAS_TOL:
+                        full.transform = system.transform._replace(moved_at=state.t)
+                        system = full
+                        fields = system.fields(state)
                 states.append(state)
                 records.append(diagnostics.energy_ledger(system, state, fields=fields))
     except BlowUpError as exc:
         exc.records = records
-        exc.grid = transform_grid(config.n, system.model, system.velocity_basis, system.director_basis)
+        exc.grid = system.transform
         raise
     finally:
         # Also fills the residuals of a partial ledger.

@@ -547,6 +547,23 @@ class TestCli:
         assert main(["validate", write(tmp_path, text)]) == 0
         assert "grid: N = 16, transform grid 8 (degree 6, k_max 1)" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "name, n",
+        [(path.stem, None) for path in sorted(CONFIGS.glob("*.cfg"))] + [("scaled_anisotropy", 16)],
+    )
+    def test_validate_prints_the_grid_run_uses(self, tmp_path, capsys, name, n):
+        text = re.sub(r"(?m)^t_end = .*$", "t_end = 0.01", (CONFIGS / f"{name}.cfg").read_text())
+        if n is not None:
+            text = re.sub(r"(?m)^N = .*$", f"N = {n}", text)
+        path = write(tmp_path, text, f"{name}.cfg")
+        assert main(["validate", path]) == 0
+        validated = [line for line in capsys.readouterr().out.splitlines() if line.startswith("grid:")]
+        assert main(["run", path, "--outdir", str(tmp_path)]) == 0
+        report = (tmp_path / f"{name}_report.txt").read_text().splitlines()
+        assert validated == [line for line in report if line.startswith("grid:")]
+        if n is not None:
+            assert validated[0].startswith("grid: N = 16, transform grid 10 (energy not polynomial; q_hat within ")
+
     def test_validate_constants_only_director_basis_is_config_error(self, tmp_path, capsys):
         text = MINIMAL.replace("N = 16", "N = 16\nn_d = 3")
         assert main(["validate", write(tmp_path, text)]) == 2

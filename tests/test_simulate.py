@@ -21,6 +21,7 @@ from elgal.energies import (
     SimplifiedOseenFrank,
     WithField,
     WithFreedom,
+    energy_gradient,
     variational_derivative,
 )
 from elgal.leslie import coupling_stress
@@ -31,6 +32,7 @@ from elgal.simulate import (
     GalerkinSystem,
     SpectralState,
     build_system,
+    fit_transform_grid,
     initial_state,
     load_checkpoint,
     run,
@@ -584,10 +586,44 @@ class TestWorkingSet:
         assert traced_peak(lambda s: system.assemble_rhs(s, fields), state) <= 28 * plane_bytes
 
 
+def _assert_runs_agree(reduced, reference):
+    """Ledgers within 1e-13 of each column's largest value, final states
+    within 1e-13 relative."""
+    got = np.array([r.row() for r in reduced.records])
+    ref = np.array([r.row() for r in reference.records])
+    scale = np.max(np.abs(ref), axis=0)
+    # The residual holds a centered difference of `total`, so its
+    # rounding scale is that of `total` over the record spacing.
+    col = LEDGER_COLUMNS.index
+    scale[col("residual")] = scale[col("total")] / np.min(np.diff(ref[:, col("t")]))
+    assert np.all(np.abs(got - ref) <= 1e-13 * scale)
+    for a, b in (
+        (reduced.final_state.v_hat, reference.final_state.v_hat),
+        (reduced.final_state.d_hat, reference.final_state.d_hat),
+    ):
+        assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b))
+
+
+def _scof_n16(seed, amp=0.1, **overrides):
+    """The scof-n16-inequalities workload's config for one seed, with the
+    director amplitude ``amp``."""
+    initial = {
+        "initial_velocity": ("random", 2 * seed, 0.05),
+        "initial_director": ("random", 2 * seed + 1, amp),
+    }
+    return dataclasses.replace(WORKLOADS["scof-n16"], **{**initial, **overrides})
+
+
+def _fitted(cfg):
+    system = build_system(cfg)
+    return fit_transform_grid(system, initial_state(cfg, system))
+
+
 class TestTransformGrid:
     """``build_system`` runs the transforms on the smallest even grid n >= 8
     with P k_max < n, P = max(6, deg F), capped at N; a non-polynomial
-    energy keeps N."""
+    energy keeps N there, and ``fit_transform_grid`` sizes it on the
+    initial state."""
 
     def test_shipped_k_max_1_config_picks_8(self):
         system = build_system(parse_config(CONFIGS / "sof_twist.cfg"))
@@ -623,6 +659,112 @@ class TestTransformGrid:
         scaled = ScaledOseenFrank(1.5, 1.0, 0.3, 0.2, 0.25, eps=1.0)
         assert transform_grid(16, WithFreedom(scaled, h, 0.7), vel, dirb).n_q == 16
 
+    def test_scof_workload_fits_10(self):
+        # k_max 1, so every flow pairing is exact from 8 up; 8 misses q_hat
+        # on 16 by about 1e-13, 10 is within rounding.
+        for seed in range(1, 13):
+            system = _fitted(_scof_n16(seed))
+            tg = system.transform
+            assert (system.grid.n, tg.n_q, tg.n) == (10, 10, 16)
+            assert system.velocity_basis.grid is system.grid is system.director_basis.grid
+            assert 0.0 <= tg.estimate <= simulate.ALIAS_TOL and tg.moved_at is None
+            assert str(tg).startswith("grid: N = 16, transform grid 10 (energy not polynomial; q_hat within ")
+            assert str(tg).endswith(" of N = 16 at t = 0)")
+
+    @pytest.mark.parametrize("seed, amp, n_q", [(1, 0.5, 14), (2, 0.5, 16), (1, 1.0, 16)])
+    def test_larger_director_needs_finer_grid(self, seed, amp, n_q):
+        tg = _fitted(_scof_n16(seed, amp)).transform
+        assert tg.n_q == n_q
+        if n_q == 16:
+            assert tg.estimate is None
+            assert str(tg) == "grid: N = 16, transform grid 16 (energy not polynomial)"
+
+    def test_full_bases_evaluate_no_candidate(self, monkeypatch):
+        # k_max 5: the flow alone needs n >= 31, so no grid below 16 is tried.
+        cfg = dataclasses.replace(WORKLOADS["scof-n16"], n_v=None, n_d=None)
+        system = build_system(cfg)
+        assert system.grid.k_max == 5
+
+        def refuse(*args):
+            raise AssertionError("no candidate grid should be evaluated")
+
+        monkeypatch.setattr(simulate, "energy_gradient", refuse)
+        monkeypatch.setattr(GalerkinSystem, "director_eval", refuse)
+        assert fit_transform_grid(system, initial_state(cfg, system)) is system
+        assert system.transform.n_q == 16 and system.transform.estimate is None
+
+    def test_grid_sampled_field_runs_on_n(self, monkeypatch):
+        grid = SpectralGrid(16, 1)
+        gl = GinzburgLandau(1.0)
+        vel = build_velocity_basis(grid, 36)
+        dirb = build_director_basis(gl.d2F_dS2_const(), grid, 57)
+        x = np.arange(16) * (2.0 * np.pi / 16)
+        h = np.zeros((16, 16, 16, 3))
+        h[..., 0] = 0.3 * np.sin(x)[:, None, None]
+        h[..., 2] = 0.5
+        model = WithField(gl, h, 0.4, 1.1)
+        assert model.grid_sampled and WithFreedom(model, (0.1, 0.0, 0.0), 0.5).grid_sampled
+        assert not WithField(gl, (0.0, 0.0, 0.5), 0.4, 1.1).grid_sampled
+        cfg = _base_config(
+            n=16,
+            n_v=36,
+            n_d=57,
+            t_end=0.01,
+            initial_velocity=("random", 2, 0.05),
+            initial_director=("random", 3, 0.1),
+        )
+        system = GalerkinSystem(model, cfg.build_coefficients(), grid, vel, dirb)
+        monkeypatch.setattr(simulate, "build_system", lambda config: system)
+        result = run(cfg)
+        assert result.system is system and system.grid.n == 16
+        assert str(system.transform) == "grid: N = 16, transform grid 16 (energy not polynomial)"
+        assert np.isfinite(result.records[-1].total)
+
+    def test_degenerate_start_is_rechecked_at_every_record(self):
+        # A constant director has q_hat = 0 to rounding on every grid, so the
+        # smallest candidate passes at t = 0; the flow then excites it.
+        cfg = dataclasses.replace(
+            WORKLOADS["scof-n16"],
+            initial_velocity=("random", 3, 0.05),
+            initial_director=("constant", np.array([0.0, 0.0, 1.0])),
+            t_end=0.05,
+        )
+        result = run(cfg)
+        tg = result.system.transform
+        assert tg.n_q == 8 and tg.estimate <= simulate.ALIAS_TOL
+        assert tg.moved_at is not None
+        full = build_system(cfg).director_basis
+        for state in result.states:
+            n = tg.n_q if tg.moved_at is None or state.t < tg.moved_at else tg.n
+            basis = full.on_grid(SpectralGrid(n, tg.k_max))
+            q_ref = energy_gradient(result.system.model, full, state.d_hat)[2]
+            q_hat = energy_gradient(result.system.model, basis, state.d_hat)[2]
+            assert np.max(np.abs(q_hat - q_ref)) <= simulate.ALIAS_TOL * np.max(np.abs(q_ref))
+
+    def test_blow_up_carries_the_fitted_grid(self):
+        cfg = _scof_n16(
+            1,
+            mu=(1.0, -1.0, 1.0, -40.0, 0.0, 1.0),  # negative bulk viscosity
+            allow_nondissipative=True,
+            dt=0.01,
+            t_end=2.0,
+            initial_velocity=("mode", (0, 0, 1), 0, "cos", 1.0),
+        )
+        # The stage before the finiteness check overflows in the pointwise terms.
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(BlowUpError) as info:
+            run(cfg)
+        assert info.value.grid.n_q == 10 and info.value.grid.estimate <= simulate.ALIAS_TOL
+
+    @pytest.mark.parametrize("seed", [1, 3])
+    def test_fitted_run_matches_run_on_n(self, seed, monkeypatch):
+        cfg = _scof_n16(seed, t_end=0.03)
+        reduced = run(cfg)
+        assert reduced.system.grid.n == 10 and reduced.system.transform.moved_at is None
+        monkeypatch.setattr(simulate, "fit_transform_grid", lambda system, state: system)
+        reference = run(cfg)
+        assert reference.system.grid.n == 16
+        _assert_runs_agree(reduced, reference)
+
     def test_bases_on_another_grid_refused(self):
         s = build_system(dataclasses.replace(parse_config(CONFIGS / "scaled_anisotropy.cfg"), n=16))
         assert s.grid == SpectralGrid(16, 1)
@@ -650,19 +792,7 @@ class TestTransformGrid:
         monkeypatch.setattr(simulate, "build_system", lambda config: full)
         reference = run(cfg)
         assert reference.system.grid.n == cfg.n
-        got = np.array([r.row() for r in reduced.records])
-        ref = np.array([r.row() for r in reference.records])
-        scale = np.max(np.abs(ref), axis=0)
-        # The residual holds a centered difference of `total`, so its
-        # rounding scale is that of `total` over the record spacing.
-        col = LEDGER_COLUMNS.index
-        scale[col("residual")] = scale[col("total")] / np.min(np.diff(ref[:, col("t")]))
-        assert np.all(np.abs(got - ref) <= 1e-13 * scale)
-        for a, b in (
-            (reduced.final_state.v_hat, reference.final_state.v_hat),
-            (reduced.final_state.d_hat, reference.final_state.d_hat),
-        ):
-            assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b))
+        _assert_runs_agree(reduced, reference)
 
     @pytest.mark.parametrize(
         "model",
