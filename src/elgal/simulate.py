@@ -33,6 +33,9 @@ coefficient vector u = (v_hat, d_hat): its diagonal linear part ``lin``
 (-(mu4/2) |k|^2 for the velocity modes, then -gamma * sigma_i for the
 director modes) is integrated exactly through one exponential factor per
 step fraction, everything else by classical RK4 on the transformed variable.
+Each step forms its two exponential factors for its own dt.  It raises
+``BlowUpError`` on a stage vector or result that is not finite or exceeds
+``BLOWUP_THRESHOLD``, before any stage evaluates it, so no stage overflows.
 """
 
 from __future__ import annotations
@@ -82,9 +85,6 @@ class SpectralState:
     v_hat: np.ndarray
     d_hat: np.ndarray
 
-    def copy(self) -> "SpectralState":
-        return SpectralState(self.t, self.v_hat.copy(), self.d_hat.copy())
-
 
 class StateFields(NamedTuple):
     """Grid fields of one state, shared by the ledger and the first RK stage."""
@@ -132,7 +132,6 @@ class GalerkinSystem:
         self.lin = np.concatenate(
             (-(coeffs.mu4 / 2.0) * velocity_basis.eigs, -coeffs.gamma * director_basis.eigs)
         )
-        self._exp_cache: dict[float, tuple] = {}
 
     # -- field reconstruction ------------------------------------------------
     def velocity_fields(self, v_hat: np.ndarray, d: np.ndarray):
@@ -203,40 +202,38 @@ class GalerkinSystem:
         coupling_stress(c, d, q, svd, out=stress)
         return planes.transpose(1, 2, 3, 0)
 
-    def _nonlinear(self, u, rhs=None):
-        nv = self.velocity_basis.size
-        rhs = self.assemble_rhs(SpectralState(0.0, u[:nv], u[nv:])) if rhs is None else rhs
-        return np.concatenate(rhs) - self.lin * u
-
-    def _exps(self, dt: float):
-        try:
-            return self._exp_cache[dt]
-        except KeyError:
-            exps = (np.exp(self.lin * dt / 2.0), np.exp(self.lin * dt))
-            self._exp_cache[dt] = exps
-            return exps
-
     def step(self, state: SpectralState, dt: float, rhs=None) -> SpectralState:
-        """One integrating-factor RK4 step; dt = 0 is the identity.
+        """One integrating-factor RK4 step; at dt = 0 ``state`` itself.
 
         ``rhs`` is ``assemble_rhs(state)`` when the caller already has it.
+        A stage vector above ``BLOWUP_THRESHOLD`` or not finite is refused
+        before it is evaluated, and so is such a result.
         """
         if dt < 0:
             raise ValueError("dt must be nonnegative")
         if dt == 0.0:
-            return state.copy()
-        eh, ef = self._exps(dt)
+            return state
+        nv = self.velocity_basis.size
+
+        def checked(u):
+            if not np.abs(u).max() <= BLOWUP_THRESHOLD:  # NaN fails too
+                raise BlowUpError(state.t)
+            return u
+
+        def stage(u, rhs=None):
+            checked(u)
+            if rhs is None:
+                rhs = self.assemble_rhs(SpectralState(state.t, u[:nv], u[nv:]))
+            return np.concatenate(rhs) - self.lin * u
+
+        eh, ef = np.exp(self.lin * dt / 2.0), np.exp(self.lin * dt)
         u0 = np.concatenate((state.v_hat, state.d_hat))
-
-        a = self._nonlinear(u0, rhs)
-        b = self._nonlinear(eh * (u0 + 0.5 * dt * a))
-        c = self._nonlinear(eh * u0 + 0.5 * dt * b)
-        d = self._nonlinear(ef * u0 + dt * eh * c)
-
-        u1 = ef * u0 + (dt / 6.0) * (ef * a + 2.0 * eh * (b + c) + d)
-        if not np.all(np.isfinite(u1)) or np.max(np.abs(u1), initial=0.0) > BLOWUP_THRESHOLD:
-            raise BlowUpError(state.t)
-        return SpectralState(state.t + dt, u1[: len(state.v_hat)], u1[len(state.v_hat) :])
+        a = stage(u0, rhs)
+        b = stage(eh * (u0 + 0.5 * dt * a))
+        c = stage(eh * u0 + 0.5 * dt * b)
+        d = stage(ef * u0 + dt * eh * c)
+        u1 = checked(ef * u0 + (dt / 6.0) * (ef * a + 2.0 * eh * (b + c) + d))
+        return SpectralState(state.t + dt, u1[:nv], u1[nv:])
 
 
 def _project_sampled(basis, field: np.ndarray) -> np.ndarray:
@@ -423,19 +420,18 @@ def run(config: SimulationConfig) -> SimulationResult:
     state = initial_state(config, full)
     system = fit_transform_grid(full, state)
     n_steps = int(round(config.t_end / config.dt))
-    states = [state]
-    fields = system.fields(state)
-    records = [diagnostics.energy_ledger(system, state, fields=fields)]
+    states, records = [], []
     try:
-        for i in range(1, n_steps + 1):
-            rhs = system.assemble_rhs(state, fields)
-            fields = None  # not held through stages 2-4
-            state = system.step(state, config.dt, rhs=rhs)
-            # Keep recorded times exact multiples of dt.
-            state = SpectralState(i * config.dt, state.v_hat, state.d_hat)
+        for i in range(n_steps + 1):
+            if i > 0:
+                rhs = system.assemble_rhs(state, fields)
+                fields = None  # not held through stages 2-4
+                state = system.step(state, config.dt, rhs=rhs)
+                # Keep recorded times exact multiples of dt.
+                state = SpectralState(i * config.dt, state.v_hat, state.d_hat)
             fields = system.fields(state)
             if i % config.record_every == 0 or i == n_steps:
-                if system is not full:
+                if i > 0 and system is not full:
                     q_full = full.director_eval(state.d_hat)[2]
                     if _alias_error(fields.q_hat, q_full) > ALIAS_TOL:
                         full.transform = system.transform._replace(moved_at=state.t)

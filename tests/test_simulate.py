@@ -1,6 +1,7 @@
 import dataclasses
 import platform
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -349,6 +350,32 @@ class TestStep:
             system.step(state, 1e-3)
         assert info.value.last_good_time == 0.5
 
+    def test_stage_refused_before_it_is_evaluated(self, gl8, monkeypatch):
+        # A finite state under the threshold whose cubic GL force throws the
+        # second stage past it: only the first stage is evaluated, and no
+        # stage overflows on the way to the BlowUpError.
+        _, cfg = gl8
+        cfg = dataclasses.replace(cfg, initial_director=("random", 3, 1e6))
+        system = build_system(cfg)
+        start = initial_state(cfg, system)
+        state = SpectralState(0.25, start.v_hat, start.d_hat)
+        assert np.abs(state.d_hat).max() <= BLOWUP_THRESHOLD
+        calls = []
+        assemble_rhs = GalerkinSystem.assemble_rhs
+
+        def counted(self, state, fields=None):
+            calls.append(1)
+            return assemble_rhs(self, state, fields)
+
+        monkeypatch.setattr(GalerkinSystem, "assemble_rhs", counted)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(BlowUpError) as info:
+                system.step(state, cfg.dt)
+        assert info.value.last_good_time == 0.25
+        assert len(calls) == 1
+        assert [str(w.message) for w in caught] == []
+
 
 class TestRun:
     def test_zero_t_end_single_record(self, gl8):
@@ -585,6 +612,18 @@ class TestWorkingSet:
         plane_bytes = 8 * 32**3
         assert traced_peak(lambda s: system.assemble_rhs(s, fields), state) <= 28 * plane_bytes
 
+    @pytest.mark.skipif(
+        sys.version_info < (3, 11), reason="before 3.11 the caller holds its arguments during a call"
+    )
+    def test_run_hands_step_the_rhs_not_the_fields(self):
+        # gl-n32-full, three recorded steps: 115.1 planes when run drops a
+        # state's 33-plane fields before step, 148.9 when it holds them
+        # through stages 2-4.
+        cfg = WORKLOADS["gl-n32-full"]
+        cfg = dataclasses.replace(cfg, t_end=3 * cfg.dt, record_every=1)
+        plane_bytes = 8 * 32**3
+        assert traced_peak(run, cfg) <= 125 * plane_bytes
+
 
 def _assert_runs_agree(reduced, reference):
     """Ledgers within 1e-13 of each column's largest value, final states
@@ -750,10 +789,40 @@ class TestTransformGrid:
             t_end=2.0,
             initial_velocity=("mode", (0, 0, 1), 0, "cos", 1.0),
         )
-        # The stage before the finiteness check overflows in the pointwise terms.
-        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(BlowUpError) as info:
+        with pytest.raises(BlowUpError) as info:
             run(cfg)
         assert info.value.grid.n_q == 10 and info.value.grid.estimate <= simulate.ALIAS_TOL
+
+    def test_blow_up_prints_one_line_and_no_warning(self, tmp_path, capsys):
+        # The config of test_blow_up_carries_the_fitted_grid, as a file.
+        text = (CONFIGS / "scaled_anisotropy.cfg").read_text()
+        for old, new in [
+            ("N = 8", "N = 16"),
+            ("mu4 = 1", "mu4 = -40\nallow_nondissipative = on"),
+            ("dt = 1e-3", "dt = 0.01"),
+            ("t_end = 0.2", "t_end = 2.0"),
+            ("velocity = random 4 0.05", "velocity = mode 0 0 1 0 cos 1.0"),
+            ("director = random 5 0.1", "director = random 3 0.1"),
+        ]:
+            assert text.count(old) == 1, old
+            text = text.replace(old, new)
+        path = tmp_path / "diverging.cfg"
+        path.write_text(text)
+        cfg = _scof_n16(
+            1,
+            mu=(1.0, -1.0, 1.0, -40.0, 0.0, 1.0),
+            allow_nondissipative=True,
+            dt=0.01,
+            t_end=2.0,
+            initial_velocity=("mode", (0, 0, 1), 0, "cos", 1.0),
+        )
+        assert parse_config(path).config_hash() == cfg.config_hash()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["run", str(path), "--outdir", str(tmp_path)]) == 3
+        assert [str(w.message) for w in caught] == []
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["blow-up: solution blew up; last finite state at t = 0.45"]
 
     @pytest.mark.parametrize("seed", [1, 3])
     def test_fitted_run_matches_run_on_n(self, seed, monkeypatch):
