@@ -48,39 +48,22 @@ of a C-order (C, E) array.  The scatter, the gradient spectra,
 ``divergence`` and the gather run on those contiguous rows; a C-order band
 gives them the same bytes.
 
-Quadrature exactness and the transform grid
--------------------------------------------
+Quadrature exactness
+--------------------
 The builders draw modes from the wavevectors with 3 |k|_inf < N on the
-configured N^3 grid (``SpectralGrid.cutoff``).  ``on_grid`` re-homes the same
-mode array onto another grid.  The n^3-point quadrature integrates
-exp(i k.x) exactly unless every component of a nonzero k is a multiple of
-n, so a product of P retained fields (derivatives included; a gather at a
-retained mode is one more factor), each with |k|_inf <= k_max, is exact
-when P k_max < n.  The solver's pairings, with q the synthesized
-projection q_hat (one retained director field) and S = grad d:
-
-    q_hat:   (dF_dh, z_i) + (dF_dS, grad z_i)               deg F
-    ledger:  quad(F(d, S))                                  deg F
-    d-eq:    ((grad d) v - skw(grad v) d + lam Sv d, z_i)   3
-    v-eq:    ((grad v) v, w_i),  ((grad d)^T q, w_i)        3
-    stress:  (mu4 Sv : grad w_i)                            2
-             ((d x q), (q x d) : grad w_i)                  3
-             ((d x Sv d), (Sv d x d) : grad w_i)            4
-             (mu1 (d.Sv d) d x d : grad w_i)                6
-    ledger:  mu4 ||Sv||^2 2,  kappa (q, Sv d) 3,  A ||Sv d||^2 4,
-             mu1 ||d.Sv d||^2 6
-
-so all are exact once P k_max < n with P = max(6, deg F), and
-``transform_grid_size`` picks the smallest such even n >= 8, capped at N.
-The bases then give the same coefficients on that grid as on the N grid,
-up to rounding.  An energy that is not a polynomial in (d, S) has no P and
-keeps N here (the solver then sizes its grid by measurement); so do bases
-too rich for P k_max < N, where, as the cutoff guarantees, products of up
-to three retained fields stay exact.
+configured N^3 grid (``SpectralGrid.cutoff``), so products of up to three
+retained fields are exact there.  ``on_grid`` re-homes the same mode array
+onto another grid.  The n^3-point quadrature integrates exp(i k.x) exactly
+unless every component of a nonzero k is a multiple of n, so a product of
+P band fields (derivatives included; a gather at a retained mode is one
+more factor), each with |k|_inf <= k_max, is exact when P k_max < n, and
+the bases give the same coefficients on every such grid up to rounding.
+Which P the solver's pairings need is the solver's rule (see ``simulate``).
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
@@ -241,15 +224,6 @@ class SpectralGrid:
     def quad(self, scalar_field: np.ndarray) -> float:
         """Grid quadrature of a scalar field over the box."""
         return float(np.sum(scalar_field) * self.cell_volume)
-
-
-def transform_grid_size(n: int, k_max: int, degree: int | None) -> int:
-    """Smallest even grid size >= 8 with degree * k_max < size, capped at n;
-    n itself when degree is None (no polynomial product bound)."""
-    if degree is None:
-        return n
-    size = max(8, degree * k_max + 1)
-    return min(n, size + size % 2)
 
 
 def symbol_matrix(lam4: Tensor4, k) -> np.ndarray:
@@ -427,8 +401,15 @@ class _TrigBasis:
         return int(np.abs(self.kvecs).max(initial=0))
 
     def on_grid(self, grid: SpectralGrid) -> "_TrigBasis":
-        """The same modes over another grid, without a new eigen-build."""
-        return self if grid == self.grid else type(self)(grid, self.modes)
+        """The same modes over another grid, without a new eigen-build.  The
+        scatter and gather depend on the band only, so a grid with the same
+        band shares them and any other band rebuilds them."""
+        moved = copy.copy(self)
+        if grid.k_max == self.grid.k_max:
+            moved.grid = grid
+        else:
+            _TrigBasis.__init__(moved, grid, self.modes)
+        return moved
 
     def _check_coefs(self, coefs: np.ndarray):
         if coefs.shape != (self.size,):
@@ -485,9 +466,6 @@ class DirectorBasis(_TrigBasis):
     def __init__(self, grid: SpectralGrid, lam4: Tensor4, modes: np.ndarray):
         super().__init__(grid, modes)
         self.lam4 = np.array(lam4)
-
-    def on_grid(self, grid: SpectralGrid) -> "DirectorBasis":
-        return self if grid == self.grid else DirectorBasis(grid, self.lam4, self.modes)
 
     def h2_norm_constant(self) -> float:
         """Largest ||z||_H2 / ||Delta z||_L2 over retained non-constant modes."""

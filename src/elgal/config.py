@@ -34,7 +34,8 @@ Sections and keys (defaults in brackets):
     director_energy_decay_rate  director_energy_decay_rtol [1e-8]
     residual_cap                cross_identically_zero [off]
     A tolerance (energy_slack, *_rtol) is refused without its assertion;
-    tolerances and residual_cap must be nonnegative.
+    tolerances and residual_cap must be nonnegative, and residual_cap
+    needs a run of at least three ledger records.
 
 Unknown sections or keys are rejected, naming the offender.  The [model]
 types and their keys come from one table, ``_MODELS``: an energy type is its
@@ -118,6 +119,9 @@ class SimulationConfig:
         n_steps = round(self.t_end / self.dt)
         if abs(n_steps * self.dt - self.t_end) > 1e-9 * max(self.dt, self.t_end):
             raise ConfigError("key 't_end': must be an integer multiple of dt (fixed-step scheme)")
+        records = -(-n_steps // self.record_every) + 1  # steps 0, record_every, ..., and the last
+        if "residual_cap" in self.assertions and records < 3:
+            raise ConfigError(f"key 'residual_cap': needs at least 3 ledger records, got {records}")
 
     def build_coefficients(self) -> LeslieCoefficients:
         return LeslieCoefficients(*self.mu)

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import diagnostics
-from .config import SimulationConfig
+from .config import ConfigError, SimulationConfig
 from .simulate import BlowUpError, run, save_checkpoint
 
 
@@ -138,6 +138,8 @@ def _evaluate_assertions(result) -> list[tuple[str, bool, str]]:
                 expect = e0 * np.exp(-rate * r.t)
                 if expect > 0:
                     worst = max(worst, abs(getattr(r, attr) - expect) / expect)
+                elif e0 == 0.0 and getattr(r, attr) != 0.0:
+                    worst = np.inf  # any energy grown from none deviates
             checks.append((key, worst <= rtol, f"worst relative deviation {worst:.3e} vs {rtol:.1e}"))
         elif key == "residual_cap":
             worst = _worst_interior_residual(records)
@@ -212,18 +214,27 @@ class ConvergenceReport:
         for dt, err, res in zip(self.dts, self.state_errors, self.residuals):
             err_s = "exact" if err == 0.0 else f"{err:.6e}"
             lines.append(f"{dt:10.3e}  {err_s:>13}  {res:.6e}")
-        so = ", ".join("exact" if o is None else f"{o:.2f}" for o in self.state_orders)
-        ro = ", ".join(f"{o:.2f}" for o in self.residual_orders)
-        lines.append(f"observed state orders: {so}")
-        lines.append(f"observed residual orders: {ro}")
+        for name, orders in (("state", self.state_orders), ("residual", self.residual_orders)):
+            shown = ", ".join("exact" if o is None else f"{o:.2f}" for o in orders)
+            lines.append(f"observed {name} orders: {shown}")
         return "\n".join(lines)
+
+
+def _orders(values: list) -> list:
+    """log2 ratios of successive values; None (exact) where either is zero."""
+    return [None if a == 0.0 or b == 0.0 else float(np.log2(a / b)) for a, b in zip(values, values[1:])]
 
 
 def convergence_suite(config: SimulationConfig) -> ConvergenceReport:
     """Run at dt, dt/2, dt/4 against a dt/64 reference; report observed orders.
 
-    State errors at the reference floor are reported as exact (order None).
+    State errors at the reference floor and zero residuals are reported as
+    exact (order None).  The dt run needs two steps, so that its ledger has
+    an interior (centered-difference) record.
     """
+    n_steps = round(config.t_end / config.dt)
+    if n_steps < 2:
+        raise ConfigError(f"key 't_end': convergence needs at least 2 steps of dt, got {n_steps}")
     base = dataclasses.replace(config, record_every=1)
     final = run(dataclasses.replace(base, dt=base.dt / 64.0)).final_state
     reference = np.concatenate((final.v_hat, final.d_hat))
@@ -238,8 +249,4 @@ def convergence_suite(config: SimulationConfig) -> ConvergenceReport:
         dts.append(base.dt / div)
         errors.append(err)
         residuals.append(_worst_interior_residual(result.records))
-    state_orders = []
-    for e0, e1 in zip(errors, errors[1:]):
-        state_orders.append(None if (e0 == 0.0 or e1 == 0.0) else float(np.log2(e0 / e1)))
-    residual_orders = [float(np.log2(r0 / r1)) for r0, r1 in zip(residuals, residuals[1:])]
-    return ConvergenceReport(dts, errors, residuals, state_orders, residual_orders)
+    return ConvergenceReport(dts, errors, residuals, _orders(errors), _orders(residuals))

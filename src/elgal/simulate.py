@@ -18,15 +18,31 @@ so (Lam : grad d, grad z_i) = sigma_i d_i and (mu4 Sv, grad w_i) =
 remainder dF_dS - Lam : grad d (nonzero only for energies with Theta or
 mixed terms) and the coupling stress T - mu4 Sv go through the grid.  All
 nonlinear pairings are evaluated pseudospectrally by grid quadrature, so the
-semi-discrete energy balance holds to rounding error.  ``build_system`` runs
-the transforms on the smallest grid, up to the configured N, on which those
-pairings are exact for the retained modes (``transform_grid``).  An energy
-that is not polynomial has no such grid, so ``build_system`` keeps N and
-``fit_transform_grid`` then measures, on the initial state, the smallest
-grid whose q_hat matches N's to rounding; ``run`` re-checks that at every
-record and moves to N for good when it fails.  With -(T : grad w_i) =
-(div T, w_i), T's band divergence joins the velocity forcing, so one
+semi-discrete energy balance holds to rounding error.  With -(T : grad w_i)
+= (div T, w_i), T's band divergence joins the velocity forcing, so one
 ``analyze_spec_half`` gathers it all.
+
+A product of P fields with |k|_inf <= k_max is quadrature-exact on n^3
+points when P k_max < n (see ``basis``).  The pairings' degrees, with q the
+synthesized q_hat and S = grad d:
+
+    q_hat:   (dF_dh, z_i) + (dF_dS, grad z_i)               deg F
+    ledger:  quad(F(d, S))                                  deg F
+    d-eq:    ((grad d) v - skw(grad v) d + lam Sv d, z_i)   3
+    v-eq:    ((grad v) v, w_i),  ((grad d)^T q, w_i)        3
+    stress:  (mu4 Sv : grad w_i)                            2
+             ((d x q), (q x d) : grad w_i)                  3
+             ((d x Sv d), (Sv d x d) : grad w_i)            4
+             (mu1 (d.Sv d) d x d : grad w_i)                6
+    ledger:  mu4 ||Sv||^2 2,  kappa (q, Sv d) 3,  A ||Sv d||^2 4,
+             mu1 ||d.Sv d||^2 6
+
+so with P = max(6, deg F) ``build_system`` runs the transforms on the
+smallest even n >= 8 with P k_max < n, capped at N (``transform_grid``).
+A non-polynomial F has no P and keeps N there; ``fit_transform_grid`` then
+measures the smallest grid whose q_hat at t = 0 matches N's to rounding,
+and ``run`` re-checks that at every record and moves to N for good when it
+fails.  All three move a system with ``GalerkinSystem.on_grid``.
 
 Time stepping is fixed-step integrating-factor RK4 on the stacked
 coefficient vector u = (v_hat, d_hat): its diagonal linear part ``lin``
@@ -56,7 +72,6 @@ from .basis import (
     VelocityBasis,
     build_director_basis,
     build_velocity_basis,
-    transform_grid_size,
 )
 from .config import ConfigError, SimulationConfig
 from .energies import FreeEnergyModel, energy_gradient
@@ -106,21 +121,20 @@ class GalerkinSystem:
         self,
         model: FreeEnergyModel,
         coeffs: LeslieCoefficients,
-        grid: SpectralGrid,
         velocity_basis: VelocityBasis,
         director_basis: DirectorBasis,
         forcing_v_hat: np.ndarray | None = None,
         transform: TransformGrid | None = None,
     ):
-        if not velocity_basis.grid == grid == director_basis.grid:
-            raise ValueError("both bases must be on the system's grid (see on_grid)")
-        # The grid decision this system runs on; by default the given grid is N.
+        self.grid = grid = velocity_basis.grid
+        if director_basis.grid != grid:
+            raise ValueError("both bases must be on one grid (see on_grid)")
+        # The grid decision this system runs on; by default the bases' grid is N.
         if transform is None:
             transform = transform_grid(grid.n, model, velocity_basis, director_basis)._replace(n_q=grid.n)
         self.transform = transform
         self.model = model
         self.coeffs = coeffs
-        self.grid = grid
         self.velocity_basis = velocity_basis
         self.director_basis = director_basis
         if forcing_v_hat is None:
@@ -132,6 +146,12 @@ class GalerkinSystem:
         self.lin = np.concatenate(
             (-(coeffs.mu4 / 2.0) * velocity_basis.eigs, -coeffs.gamma * director_basis.eigs)
         )
+
+    def on_grid(self, grid: SpectralGrid, transform: TransformGrid) -> GalerkinSystem:
+        """This system, its bases re-homed onto ``grid`` so that every state's
+        coefficients stay valid, on the grid decision ``transform``."""
+        vel, dirb = self.velocity_basis.on_grid(grid), self.director_basis.on_grid(grid)
+        return GalerkinSystem(self.model, self.coeffs, vel, dirb, self.forcing_v_hat, transform)
 
     # -- field reconstruction ------------------------------------------------
     def velocity_fields(self, v_hat: np.ndarray, d: np.ndarray):
@@ -280,8 +300,15 @@ def _coefs_from_directive(directive, basis, kind: str) -> np.ndarray:
 
 
 # Highest product degree among the right-hand-side and ledger pairings: the
-# mu1 stress against grad w_i and mu1 ||d.Sv d||^2 (see the basis module).
+# mu1 stress against grad w_i and mu1 ||d.Sv d||^2 (see the module docstring).
 FLOW_DEGREE = 6
+
+
+def transform_grid_size(n: int, k_max: int, degree: int | None) -> int:
+    """Smallest even grid size >= 8 with degree * k_max < size, capped at n;
+    n itself when degree is None (no polynomial product bound)."""
+    size = n if degree is None else max(8, degree * k_max + 1)
+    return min(n, size + size % 2)
 
 
 # Largest max|q_hat on n - q_hat on N| / max|q_hat on N| at which a grid n
@@ -342,8 +369,7 @@ def fit_transform_grid(system: GalerkinSystem, state: SpectralState) -> Galerkin
     pairing exact (``FLOW_DEGREE``) up to N - 2.  ``system`` itself comes
     back when F is polynomial (``build_system`` already sized it), when it
     holds data sampled on the N grid, when no candidate lies below N or
-    when none passes.  Both bases are re-homed with ``on_grid``, so the
-    coefficients of ``state`` stay valid.
+    when none passes.  Candidates are built by ``system.on_grid``.
     """
     tg = system.transform
     start = transform_grid_size(tg.n, tg.k_max, FLOW_DEGREE)
@@ -351,19 +377,11 @@ def fit_transform_grid(system: GalerkinSystem, state: SpectralState) -> Galerkin
         return system
     q_ref = system.director_eval(state.d_hat)[2]
     for n_q in range(start, tg.n, 2):
-        grid = SpectralGrid(n_q, tg.k_max)
-        dirb = system.director_basis.on_grid(grid)
-        estimate = _alias_error(energy_gradient(system.model, dirb, state.d_hat)[2], q_ref)
+        candidate = system.on_grid(SpectralGrid(n_q, tg.k_max), tg._replace(n_q=n_q))
+        q_hat = energy_gradient(system.model, candidate.director_basis, state.d_hat)[2]
+        estimate = _alias_error(q_hat, q_ref)
         if estimate <= ALIAS_TOL:
-            return GalerkinSystem(
-                system.model,
-                system.coeffs,
-                grid,
-                system.velocity_basis.on_grid(grid),
-                dirb,
-                forcing_v_hat=system.forcing_v_hat,
-                transform=tg._replace(n_q=n_q, estimate=estimate),
-            )
+            return candidate.on_grid(candidate.grid, candidate.transform._replace(estimate=estimate))
     return system
 
 
@@ -380,11 +398,10 @@ def build_system(config: SimulationConfig) -> GalerkinSystem:
     grid = SpectralGrid(config.n)
     vel = build_velocity_basis(grid, config.n_v)
     dirb = build_director_basis(model.d2F_dS2_const(), grid, config.n_d)
-    tg = transform_grid(config.n, model, vel, dirb)
-    grid = SpectralGrid(tg.n_q, tg.k_max)
-    vel, dirb = vel.on_grid(grid), dirb.on_grid(grid)
     forcing = _coefs_from_directive(config.forcing_velocity, vel, "velocity")
-    return GalerkinSystem(model, coeffs, grid, vel, dirb, forcing_v_hat=forcing, transform=tg)
+    tg = transform_grid(config.n, model, vel, dirb)
+    full = GalerkinSystem(model, coeffs, vel, dirb, forcing_v_hat=forcing)
+    return full.on_grid(SpectralGrid(tg.n_q, tg.k_max), tg)
 
 
 @dataclass
@@ -431,11 +448,10 @@ def run(config: SimulationConfig) -> SimulationResult:
                 state = SpectralState(i * config.dt, state.v_hat, state.d_hat)
             fields = system.fields(state)
             if i % config.record_every == 0 or i == n_steps:
-                if i > 0 and system is not full:
+                if i > 0 and system.grid != full.grid:
                     q_full = full.director_eval(state.d_hat)[2]
                     if _alias_error(fields.q_hat, q_full) > ALIAS_TOL:
-                        full.transform = system.transform._replace(moved_at=state.t)
-                        system = full
+                        system = full.on_grid(full.grid, system.transform._replace(moved_at=state.t))
                         fields = system.fields(state)
                 states.append(state)
                 records.append(diagnostics.energy_ledger(system, state, fields=fields))

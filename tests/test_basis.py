@@ -115,6 +115,27 @@ class TestBandTransforms:
         with pytest.raises(ValueError):
             basis.on_grid(SpectralGrid(16, 1))
 
+    @pytest.mark.parametrize("build", ["director", "velocity"])
+    def test_same_band_shares_operators(self, build, rng):
+        # The scatter and gather index the band only, so a grid with the
+        # same band reuses them and gives a fresh build's bytes.
+        grid = SpectralGrid(16, 2)
+        if build == "director":
+            basis = build_director_basis(SOF_LAM, grid, 200)
+            fresh = DirectorBasis(SpectralGrid(10, 2), basis.lam4, basis.modes)
+        else:
+            basis = build_velocity_basis(grid, 100)
+            fresh = VelocityBasis(SpectralGrid(10, 2), basis.modes)
+        moved = basis.on_grid(SpectralGrid(10, 2))
+        assert type(moved) is type(basis) and moved.grid == fresh.grid and basis.grid is grid
+        assert moved._scatter is basis._scatter and moved._gather is basis._gather
+        coefs = rng.uniform(-1.0, 1.0, basis.size)
+        assert_bytes_equal(moved.synthesize(coefs), fresh.synthesize(coefs))
+        field = fresh.synthesize(coefs)
+        assert_bytes_equal(moved.analyze(field), fresh.analyze(field))
+        wide = basis.on_grid(SpectralGrid(16))
+        assert wide._scatter is not basis._scatter and wide.grid.k_max == 5
+
     def test_shape_mismatch_refused(self):
         grid = SpectralGrid(16, 1)
         with pytest.raises(ValueError):

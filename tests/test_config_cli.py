@@ -406,6 +406,24 @@ class TestCli:
         assert outcome.exit_code == 0
         assert any("director_energy_decay_rate" in m and "PASS" in m for m in outcome.messages)
 
+    def test_decay_rate_from_zero_energy_fails(self, tmp_path):
+        # A forced mode grows kinetic energy from exactly 0: the expectation
+        # 0 * exp(-rate t) is 0, so every later record deviates.
+        import dataclasses
+
+        from elgal.scenarios import Scenario, run_scenario, stokes_decay
+
+        scenario = stokes_decay()
+        grown = dataclasses.replace(
+            scenario.config,
+            initial_velocity=("zero",),
+            forcing_velocity=("mode", (0, 0, 1), 0, "cos", 0.3),
+            t_end=0.1,
+        )
+        outcome = run_scenario(Scenario("forced-from-rest", grown), str(tmp_path))
+        assert outcome.exit_code == 1
+        assert outcome.messages == ["FAIL  kinetic_decay_rate: worst relative deviation inf vs 1.0e-06"]
+
     def test_zero_horizon_single_row(self, tmp_path):
         text = RUNNABLE.replace("t_end = 0.02", "t_end = 0")
         assert main(["run", write(tmp_path, text), "--outdir", str(tmp_path)]) == 0
@@ -532,6 +550,28 @@ class TestCli:
             args += ["--outdir", str(tmp_path)]
         assert main(args) == 2
         assert f"key '{key}': must be nonnegative" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_residual_cap_needs_three_records(self, tmp_path, capsys, command):
+        # gl_mixing.cfg makes 500 steps: records at 0 and 500 only, so no
+        # interior residual exists for the cap to bound.
+        text = (CONFIGS / "gl_mixing.cfg").read_text()
+        assert text.count("record_every = 5\n") == 1 and "residual_cap = " in text
+        args = [command, write(tmp_path, text.replace("record_every = 5\n", "record_every = 1000\n"))]
+        if command == "run":
+            args += ["--outdir", str(tmp_path)]
+        assert main(args) == 2
+        assert capsys.readouterr().err == "config error: key 'residual_cap': needs at least 3 ledger records, got 2\n"
+        assert not (tmp_path / "gl_mixing_ledger.csv").exists()
+
+    @pytest.mark.parametrize("every, records", [(250, 3), (251, 3), (499, 3), (500, 2), (1, 501)])
+    def test_residual_cap_counts_the_last_record(self, tmp_path, every, records):
+        text = (CONFIGS / "gl_mixing.cfg").read_text().replace("record_every = 5\n", f"record_every = {every}\n")
+        if records >= 3:
+            assert parse_config(write(tmp_path, text)).assertions["residual_cap"] == 1e-5
+        else:
+            with pytest.raises(ConfigError, match=f"got {records}$"):
+                parse_config(write(tmp_path, text))
 
     def test_validate_passes_for_accepted_setup(self, tmp_path, capsys):
         assert main(["validate", write(tmp_path, MINIMAL)]) == 0
@@ -690,6 +730,29 @@ class TestCli:
         """
         assert main(["convergence", write(tmp_path, text)]) == 0
         assert "exact" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("t_end, steps", [("0", 0), ("1e-3", 1)])
+    def test_convergence_needs_two_steps(self, tmp_path, capsys, t_end, steps):
+        text = (CONFIGS / "scaled_anisotropy.cfg").read_text()
+        assert text.count("t_end = 0.2\n") == 1
+        assert main(["convergence", write(tmp_path, text.replace("t_end = 0.2\n", f"t_end = {t_end}\n"))]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"config error: key 't_end': convergence needs at least 2 steps of dt, got {steps}\n"
+
+    def test_convergence_of_a_stationary_run_is_exact(self, tmp_path, capsys):
+        # Zero velocity and director stay zero: every error and residual is 0.
+        text = (CONFIGS / "scaled_anisotropy.cfg").read_text()
+        for old, new in [
+            ("t_end = 0.2", "t_end = 2e-3"),
+            ("velocity = random 4 0.05", "velocity = zero"),
+            ("director = random 5 0.1", "director = zero"),
+        ]:
+            assert text.count(old) == 1, old
+            text = text.replace(old, new)
+        assert main(["convergence", write(tmp_path, text)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1:4] == [f"{dt:10.3e}          exact  0.000000e+00" for dt in (1e-3, 5e-4, 2.5e-4)]
+        assert lines[4:] == ["observed state orders: exact, exact", "observed residual orders: exact, exact"]
 
     def test_inequalities_sample_on_configured_grid(self, tmp_path, capsys):
         # The run uses the 8^3 transform grid, but the testers' L^p norms are

@@ -6,7 +6,6 @@ from elgal.basis import (
     build_director_basis,
     build_velocity_basis,
     symbol_matrix,
-    transform_grid_size,
 )
 from elgal.energies import (
     GinzburgLandau,
@@ -24,6 +23,7 @@ from elgal.energies import (
     total_energy,
     variational_derivative,
 )
+from elgal.simulate import transform_grid_size
 from elgal.tensors import contract42
 from oracles import (
     complex_step_gradients,

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from elgal import basis as basis_module
 from elgal import simulate
 from elgal.basis import SpectralGrid, build_director_basis, build_velocity_basis
 from elgal.cli import main
@@ -752,7 +753,7 @@ class TestTransformGrid:
             initial_velocity=("random", 2, 0.05),
             initial_director=("random", 3, 0.1),
         )
-        system = GalerkinSystem(model, cfg.build_coefficients(), grid, vel, dirb)
+        system = GalerkinSystem(model, cfg.build_coefficients(), vel, dirb)
         monkeypatch.setattr(simulate, "build_system", lambda config: system)
         result = run(cfg)
         assert result.system is system and system.grid.n == 16
@@ -779,6 +780,52 @@ class TestTransformGrid:
             q_ref = energy_gradient(result.system.model, full, state.d_hat)[2]
             q_hat = energy_gradient(result.system.model, basis, state.d_hat)[2]
             assert np.max(np.abs(q_hat - q_ref)) <= simulate.ALIAS_TOL * np.max(np.abs(q_ref))
+
+    def test_move_to_n_leaves_the_built_system_alone(self, monkeypatch):
+        # The run moves to N on a new system; the one build_system returned
+        # keeps its own grid decision.
+        cfg = dataclasses.replace(
+            WORKLOADS["scof-n16"],
+            initial_velocity=("random", 3, 0.05),
+            initial_director=("constant", np.array([0.0, 0.0, 1.0])),
+            t_end=0.05,
+        )
+        built = build_system(cfg)
+        monkeypatch.setattr(simulate, "build_system", lambda config: built)
+        result = run(cfg)
+        assert result.system.transform.moved_at == 0.005 and result.system is not built
+        assert result.system.grid == built.grid and result.system.model is built.model
+        assert built.transform.moved_at is None and built.transform.n_q == 16
+        assert str(built.transform) == "grid: N = 16, transform grid 16 (energy not polynomial)"
+
+    def test_on_grid_keeps_the_system_and_takes_the_decision(self):
+        system = build_system(_scof_n16(1, forcing_velocity=("random", 7, 0.1)))
+        tg = system.transform._replace(n_q=10, estimate=0.0)
+        moved = system.on_grid(SpectralGrid(10, 1), tg)
+        assert moved.transform is tg and system.transform.n_q == 16
+        assert moved.grid == SpectralGrid(10, 1) == moved.velocity_basis.grid == moved.director_basis.grid
+        assert (moved.model, moved.coeffs) == (system.model, system.coeffs)
+        assert np.array_equal(moved.forcing_v_hat, system.forcing_v_hat) and np.any(moved.forcing_v_hat)
+        assert np.array_equal(moved.lin, system.lin)
+        for a, b in ((moved.velocity_basis, system.velocity_basis), (moved.director_basis, system.director_basis)):
+            assert type(a) is type(b) and np.array_equal(a.modes, b.modes)
+
+    @pytest.mark.parametrize("cfg, built, n_q", [(_base_config(n=16), 2, 16), (_scof_n16(1), 4, 10)])
+    def test_no_basis_is_built_twice(self, cfg, built, n_q, monkeypatch):
+        # build_system builds each basis once on N and re-homes it once; the
+        # fit's candidates keep the band, so they share its operators.
+        inits = []
+        init = basis_module._TrigBasis.__init__
+
+        def counted(self, grid, modes):
+            inits.append((type(self).__name__, grid))
+            init(self, grid, modes)
+
+        monkeypatch.setattr(basis_module._TrigBasis, "__init__", counted)
+        system = build_system(cfg)
+        assert len(inits) == built and len(set(inits)) == built
+        fitted = fit_transform_grid(system, initial_state(cfg, system))
+        assert len(inits) == built and fitted.grid.n == n_q
 
     def test_blow_up_carries_the_fitted_grid(self):
         cfg = _scof_n16(
@@ -839,9 +886,7 @@ class TestTransformGrid:
         assert s.grid == SpectralGrid(16, 1)
         for grid in (SpectralGrid(16), SpectralGrid(8, 1)):
             with pytest.raises(ValueError):
-                GalerkinSystem(s.model, s.coeffs, grid, s.velocity_basis, s.director_basis)
-            with pytest.raises(ValueError):
-                GalerkinSystem(s.model, s.coeffs, s.grid, s.velocity_basis.on_grid(grid), s.director_basis)
+                GalerkinSystem(s.model, s.coeffs, s.velocity_basis.on_grid(grid), s.director_basis)
 
     @pytest.mark.parametrize("name", ["sof_twist.cfg", "gl_mixing.cfg"])
     def test_ledger_matches_configured_grid(self, name, monkeypatch):
@@ -853,7 +898,6 @@ class TestTransformGrid:
         full = GalerkinSystem(
             s.model,
             s.coeffs,
-            grid,
             s.velocity_basis.on_grid(grid),
             s.director_basis.on_grid(grid),
             forcing_v_hat=s.forcing_v_hat,
