@@ -34,8 +34,9 @@ Sections and keys (defaults in brackets):
     director_energy_decay_rate  director_energy_decay_rtol [1e-8]
     residual_cap                cross_identically_zero [off]
     A tolerance (energy_slack, *_rtol) is refused without its assertion;
-    tolerances and residual_cap must be nonnegative, and residual_cap
-    needs a run of at least three ledger records.
+    tolerances and residual_cap must be nonnegative.  residual_cap needs a
+    run of at least three ledger records, the other assertions but
+    cross_identically_zero at least two.
 
 Unknown sections or keys are rejected, naming the offender.  The [model]
 types and their keys come from one table, ``_MODELS``: an energy type is its
@@ -90,6 +91,9 @@ _TOLERANCES = {
     "director_energy_decay_rate": ("director_energy_decay_rtol", 1e-8),
 }
 _ASSERT_KEYS = {"residual_cap", "cross_identically_zero", *_TOLERANCES, *(key for key, _ in _TOLERANCES.values())}
+# The fewest ledger records each [assert] key compares: a difference or a
+# decay needs two, a centered-difference residual an interior record.
+_MIN_RECORDS = {"energy_monotonic": 2, "kinetic_decay_rate": 2, "director_energy_decay_rate": 2, "residual_cap": 3}
 
 
 @dataclass
@@ -120,8 +124,9 @@ class SimulationConfig:
         if abs(n_steps * self.dt - self.t_end) > 1e-9 * max(self.dt, self.t_end):
             raise ConfigError("key 't_end': must be an integer multiple of dt (fixed-step scheme)")
         records = -(-n_steps // self.record_every) + 1  # steps 0, record_every, ..., and the last
-        if "residual_cap" in self.assertions and records < 3:
-            raise ConfigError(f"key 'residual_cap': needs at least 3 ledger records, got {records}")
+        for key in self.assertions:
+            if records < _MIN_RECORDS.get(key, 1):
+                raise ConfigError(f"key '{key}': needs at least {_MIN_RECORDS[key]} ledger records, got {records}")
 
     def build_coefficients(self) -> LeslieCoefficients:
         return LeslieCoefficients(*self.mu)

@@ -17,6 +17,10 @@ matrix.  Every model exposes
 
 All methods broadcast over leading axes so grid fields evaluate in one call.
 
+A base energy is Lam = d2F_dS2_const(), plus the quartic unit-length well,
+plus its own terms.  A new one subclasses ``_BaseEnergy`` and needs only its
+Lam, ``evaluate`` and constants, plus one entry in ``config._MODELS``.
+
 Built-in models
 ---------------
 GinzburgLandau(eps)
@@ -162,28 +166,38 @@ def _well_slope(w, m):
     return 4.0 * w * (m - 1.0)
 
 
-class GinzburgLandau(FreeEnergyModel):
-    """Gradient energy with quartic unit-length well, F = |S|^2/2 + w (|h|^2-1)^2."""
+class _BaseEnergy(FreeEnergyModel):
+    """Lam, the unit-length well of scale eps, and the dF_dh and growth data of
+    an energy whose only h-dependence is the well.  Subclasses check their own
+    parameters before calling this, so those errors come first."""
 
-    degree = 4
-
-    def __init__(self, eps: float | None = 1.0):
+    def __init__(self, lam: Tensor4, eps: float | None):
         if eps is not None and eps <= 0:
             raise ValueError("eps must be positive")
         self.eps = eps if eps is None else float(eps)
         self.penalty_weight = 1.0 / (4.0 * eps * eps) if eps is not None else 0.0
-
-    def evaluate(self, h, s):
-        return 0.5 * _norm2(s, (-2, -1)) + _well(self.penalty_weight, _norm2(h, -1))
+        self._lam = lam
 
     def dF_dh(self, h, s):
         return _well_slope(self.penalty_weight, _norm2(h, -1))[..., None] * h
 
     def d2F_dS2_const(self):
-        return identity_4()
+        return self._lam.copy()
 
     def growth_exponents(self):
         return GrowthExponents(2.0, 6.0, c_mixed=1.0, c_h=max(8.0 * self.penalty_weight, 1.0))
+
+
+class GinzburgLandau(_BaseEnergy):
+    """Gradient energy with quartic unit-length well, F = |S|^2/2 + w (|h|^2-1)^2."""
+
+    degree = 4
+
+    def __init__(self, eps: float | None = 1.0):
+        super().__init__(identity_4(), eps)
+
+    def evaluate(self, h, s):
+        return 0.5 * _norm2(s, (-2, -1)) + _well(self.penalty_weight, _norm2(h, -1))
 
     def coercivity_constants(self):
         if self.penalty_weight > 0:
@@ -322,7 +336,7 @@ def _quadratic_eta1(a: float, b: float, c: float) -> float:
     return 0.5 * min(a + c, a - c, a + 3.0 * b + c)
 
 
-class SimplifiedOseenFrank(FreeEnergyModel):
+class SimplifiedOseenFrank(_BaseEnergy):
     """Splay/twist-bend quadratic energy with the null-Lagrangian alpha term."""
 
     degree = 4
@@ -330,41 +344,23 @@ class SimplifiedOseenFrank(FreeEnergyModel):
     def __init__(self, k1: float, k2: float, alpha: float, eps: float | None = None):
         if k1 <= 0 or k2 <= 0:
             raise ValueError("k1 and k2 must be positive")
-        if eps is not None and eps <= 0:
-            raise ValueError("eps must be positive")
         self.k1, self.k2, self.alpha = float(k1), float(k2), float(alpha)
-        self.penalty_weight = 1.0 / (4.0 * eps * eps) if eps is not None else 0.0
-        self._lam = (
-            2.0 * k2 * identity_4()
-            + 2.0 * (k1 - alpha) * trace_outer_4()
-            - 2.0 * (k2 - alpha) * transpose_4()
-        )
+        self._form = a, b, c = 2.0 * self.k2, 2.0 * (self.k1 - self.alpha), -2.0 * (self.k2 - self.alpha)
+        super().__init__(a * identity_4() + b * trace_outer_4() + c * transpose_4(), eps)
 
     def evaluate(self, h, s):
         quad = 0.5 * frob(s, contract42(self._lam, s))
         return quad + _well(self.penalty_weight, _norm2(h, -1))
 
-    def dF_dh(self, h, s):
-        return _well_slope(self.penalty_weight, _norm2(h, -1))[..., None] * h
-
-    def d2F_dS2_const(self):
-        return self._lam.copy()
-
-    def growth_exponents(self):
-        return GrowthExponents(2.0, 6.0, c_mixed=1.0, c_h=max(8.0 * self.penalty_weight, 1.0))
-
     def coercivity_constants(self):
         # The quartic well is nonnegative, so only the quadratic form matters.
-        a = 2.0 * self.k2
-        b = 2.0 * (self.k1 - self.alpha)
-        c = -2.0 * (self.k2 - self.alpha)
-        return (_quadratic_eta1(a, b, c), 0.0, 0.0)
+        return (_quadratic_eta1(*self._form), 0.0, 0.0)
 
     def ellipticity_constant(self):
         return 2.0 * min(self.k1, self.k2)
 
 
-class ScaledOseenFrank(FreeEnergyModel):
+class ScaledOseenFrank(_BaseEnergy):
     """Anisotropic energy whose non-quadratic part is damped by (1+|S|^2)^(-s).
 
     The stored density adds the null-Lagrangian term
@@ -381,17 +377,11 @@ class ScaledOseenFrank(FreeEnergyModel):
             raise ValueError("k1 and k2 must be positive")
         if k3 < 0 or k4 < 0:
             raise ValueError("k3 and k4 must be nonnegative")
-        if eps is not None and eps <= 0:
-            raise ValueError("eps must be positive")
         self.k1, self.k2, self.k3, self.k4 = map(float, (k1, k2, k3, k4))
         self.s = float(s)
-        self.penalty_weight = 1.0 / (4.0 * eps * eps) if eps is not None else 0.0
         self._a0 = 0.5 * min(self.k1, self.k2)
-        self._lam = (
-            self.k1 * trace_outer_4()
-            + self.k2 * curl_quadratic_4()
-            + 2.0 * self._a0 * (transpose_4() - trace_outer_4())
-        )
+        lam = self.k1 * trace_outer_4() + self.k2 * curl_quadratic_4()
+        super().__init__(lam + 2.0 * self._a0 * (transpose_4() - trace_outer_4()), eps)
 
     # -- scalar building blocks of the damped anisotropic part ---------------
     def _parts(self, h, s):
@@ -443,9 +433,6 @@ class ScaledOseenFrank(FreeEnergyModel):
 
     def dF_dh(self, h, s):
         return self.remainder_gradients(h, s)[0]
-
-    def d2F_dS2_const(self):
-        return self._lam.copy()
 
     def _hessian_parts(self, h, s):
         """_parts plus phi/base, [h] and [c] (the skew matrices U, W of h and

@@ -425,7 +425,7 @@ class TestCli:
         assert outcome.messages == ["FAIL  kinetic_decay_rate: worst relative deviation inf vs 1.0e-06"]
 
     def test_zero_horizon_single_row(self, tmp_path):
-        text = RUNNABLE.replace("t_end = 0.02", "t_end = 0")
+        text = RUNNABLE.split("[assert]")[0].replace("t_end = 0.02", "t_end = 0")
         assert main(["run", write(tmp_path, text), "--outdir", str(tmp_path)]) == 0
         assert len((tmp_path / "ledger.csv").read_text().splitlines()) == 2
 
@@ -572,6 +572,71 @@ class TestCli:
         else:
             with pytest.raises(ConfigError, match=f"got {records}$"):
                 parse_config(write(tmp_path, text))
+
+    @pytest.mark.parametrize(
+        "assertion, key",
+        [
+            ("energy_monotonic = on", "energy_monotonic"),
+            ("kinetic_decay_rate = 1000\nkinetic_decay_rtol = 0", "kinetic_decay_rate"),
+            ("director_energy_decay_rate = 2", "director_energy_decay_rate"),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["validate", "run", "convergence"])
+    def test_assertion_on_one_record_is_config_error(self, tmp_path, capsys, command, assertion, key):
+        # t_end = 0 makes one ledger record: nothing to difference or decay.
+        text = RUNNABLE.split("[assert]")[0].replace("t_end = 0.02", "t_end = 0") + f"[assert]\n{assertion}\n"
+        args = [command, write(tmp_path, text)] + (["--outdir", str(tmp_path)] if command == "run" else [])
+        assert main(args) == 2
+        assert capsys.readouterr().err == f"config error: key '{key}': needs at least 2 ledger records, got 1\n"
+        assert not (tmp_path / "ledger.csv").exists()
+
+    @pytest.mark.parametrize("command", ["validate", "run", "convergence"])
+    def test_shipped_assertions_on_one_record_are_config_errors(self, tmp_path, capsys, command):
+        # scaled_anisotropy.cfg at t_end = 0, with a decay rate that no record
+        # compares: the first refused key is named.
+        text = (CONFIGS / "scaled_anisotropy.cfg").read_text()
+        assert text.count("t_end = 0.2\n") == 1 and text.endswith("energy_monotonic = on\n")
+        text = text.replace("t_end = 0.2\n", "t_end = 0\n") + "kinetic_decay_rate = 1000\nkinetic_decay_rtol = 0\n"
+        args = [command, write(tmp_path, text)] + (["--outdir", str(tmp_path)] if command == "run" else [])
+        assert main(args) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == "config error: key 'energy_monotonic': needs at least 2 ledger records, got 1\n"
+
+    def test_cross_identically_zero_runs_on_one_record(self, tmp_path, capsys):
+        # Parodi's relation holds (kappa = 0), so the one record's cross is 0.
+        text = RUNNABLE.split("[assert]")[0].replace("t_end = 0.02", "t_end = 0")
+        text = text.replace("mu2 = -1\nmu3 = 1\n", "mu2 = -0.5\nmu3 = 1.5\n")
+        path = write(tmp_path, text + "[assert]\ncross_identically_zero = on\n")
+        assert main(["run", path, "--outdir", str(tmp_path)]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == "PASS  cross_identically_zero: cross column identically zero"
+        assert len((tmp_path / "ledger.csv").read_text().splitlines()) == 2
+
+    def test_refusals_count_the_records_run_makes(self):
+        # The refusal counts records by formula; run counts them in its loop.
+        import dataclasses
+
+        from elgal.config import _MIN_RECORDS
+        from elgal.scenarios import _base_config
+
+        payloads = {
+            "energy_monotonic": 1e-8,
+            "kinetic_decay_rate": (1.0, 1e-6),
+            "director_energy_decay_rate": (1.0, 1e-8),
+            "residual_cap": 1.0,
+            "cross_identically_zero": True,
+        }
+        assert set(_MIN_RECORDS) < set(payloads)
+        for n_steps in range(8):
+            for every in range(1, 5):
+                cfg = _base_config(n=8, n_v=4, n_d=3, t_end=n_steps * 1e-3, record_every=every)
+                made = len(run(cfg).records)
+                for key, payload in payloads.items():
+                    refused = made < _MIN_RECORDS.get(key, 1)
+                    if refused:
+                        with pytest.raises(ConfigError, match=f"^key '{key}': .* got {made}$"):
+                            dataclasses.replace(cfg, assertions={key: payload})
+                    else:
+                        dataclasses.replace(cfg, assertions={key: payload})
 
     def test_validate_passes_for_accepted_setup(self, tmp_path, capsys):
         assert main(["validate", write(tmp_path, MINIMAL)]) == 0
@@ -733,11 +798,30 @@ class TestCli:
 
     @pytest.mark.parametrize("t_end, steps", [("0", 0), ("1e-3", 1)])
     def test_convergence_needs_two_steps(self, tmp_path, capsys, t_end, steps):
-        text = (CONFIGS / "scaled_anisotropy.cfg").read_text()
+        text = (CONFIGS / "scaled_anisotropy.cfg").read_text().split("[assert]")[0]
         assert text.count("t_end = 0.2\n") == 1
         assert main(["convergence", write(tmp_path, text.replace("t_end = 0.2\n", f"t_end = {t_end}\n"))]) == 2
         out, err = capsys.readouterr()
         assert out == "" and err == f"config error: key 't_end': convergence needs at least 2 steps of dt, got {steps}\n"
+
+    def test_convergence_reference_records_at_dt(self, tmp_path, monkeypatch):
+        # The dt/64 reference records at the dt run's times: n_steps + 1
+        # records, not 64 n_steps + 1.
+        import elgal.scenarios
+
+        results = []
+
+        def recording_run(config):
+            results.append(run(config))
+            return results[-1]
+
+        monkeypatch.setattr(elgal.scenarios, "run", recording_run)
+        text = RUNNABLE.replace("N = 8", "N = 8\nn_v = 12\nn_d = 21").replace("t_end = 0.02", "t_end = 3e-3")
+        assert main(["convergence", write(tmp_path, text)]) == 0
+        reference = results[0]
+        assert reference.config.dt == 1e-3 / 64
+        assert [r.t for r in reference.records] == [i * 1e-3 for i in range(4)]
+        assert [len(r.records) for r in results[1:]] == [4, 7, 13]
 
     def test_convergence_of_a_stationary_run_is_exact(self, tmp_path, capsys):
         # Zero velocity and director stay zero: every error and residual is 0.

@@ -24,7 +24,7 @@ from elgal.energies import (
     variational_derivative,
 )
 from elgal.simulate import transform_grid_size
-from elgal.tensors import contract42
+from elgal.tensors import contract42, curl_quadratic_4, identity_4, trace_outer_4, transpose_4
 from oracles import (
     complex_step_gradients,
     component_major,
@@ -76,6 +76,70 @@ class TestHessianStructure:
         for _ in range(10):
             th = model.d2F_dS2_vary(rng.standard_normal(3), rng.standard_normal((3, 3)))
             assert np.max(np.abs(th - np.einsum("ijkl->klij", th))) < 1e-15
+
+
+def _sof_lam(k1, k2, alpha):
+    # Simplified Oseen-Frank's Lam written out term by term: the byte oracle.
+    return 2.0 * k2 * identity_4() + 2.0 * (k1 - alpha) * trace_outer_4() - 2.0 * (k2 - alpha) * transpose_4()
+
+
+def _scaled_lam(k1, k2):
+    # Scaled Oseen-Frank's Lam written out term by term: the byte oracle.
+    a0 = 0.5 * min(k1, k2)
+    return k1 * trace_outer_4() + k2 * curl_quadratic_4() + 2.0 * a0 * (transpose_4() - trace_outer_4())
+
+
+class TestBaseEnergies:
+    """The three base energies share one base: Lam, eps and the well."""
+
+    CASES = {
+        "gl": (lambda: GinzburgLandau(1.0), identity_4),
+        "gl_no_well": (lambda: GinzburgLandau(None), identity_4),
+        "sof": (lambda: SimplifiedOseenFrank(2, 0.5, 0.5), lambda: _sof_lam(2, 0.5, 0.5)),
+        "sof_alpha": (lambda: SimplifiedOseenFrank(2.0, 1.0, 0.3, eps=1.0), lambda: _sof_lam(2.0, 1.0, 0.3)),
+        "scaled_of": (lambda: ScaledOseenFrank(1.5, 1, 0.009, 0.009, 0.25), lambda: _scaled_lam(1.5, 1.0)),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_constant_hessian_is_a_fresh_copy_of_lam(self, name):
+        make, oracle = self.CASES[name]
+        model = make()
+        first, second = model.d2F_dS2_const(), model.d2F_dS2_const()
+        assert first is not second
+        assert first.tobytes() == oracle().tobytes()
+        first[...] = 0.0
+        assert second.tobytes() == model.d2F_dS2_const().tobytes() == oracle().tobytes()
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda eps: GinzburgLandau(eps),
+            lambda eps: SimplifiedOseenFrank(2.0, 1.0, 0.5, eps=eps),
+            lambda eps: ScaledOseenFrank(1.5, 1.0, 0.3, 0.2, 0.25, eps=eps),
+        ],
+        ids=["gl", "sof", "scaled_of"],
+    )
+    @pytest.mark.parametrize("eps", [0.0, -1.0])
+    def test_eps_must_be_positive(self, make, eps):
+        with pytest.raises(ValueError, match="^eps must be positive$"):
+            make(eps)
+
+    def test_k_checks_come_before_eps(self):
+        with pytest.raises(ValueError, match="^k1 and k2 must be positive$"):
+            SimplifiedOseenFrank(0.0, 1.0, 0.5, eps=0.0)
+        with pytest.raises(ValueError, match="^k1 and k2 must be positive$"):
+            ScaledOseenFrank(1.5, -1.0, 0.3, 0.2, 0.25, eps=0.0)
+        with pytest.raises(ValueError, match="^k3 and k4 must be nonnegative$"):
+            ScaledOseenFrank(1.5, 1.0, -0.3, 0.2, 0.25, eps=0.0)
+
+    @pytest.mark.parametrize("eps, weight", [(None, 0.0), (1.0, 0.25), (0.5, 1.0)])
+    def test_penalty_weight_from_eps(self, eps, weight):
+        for model in (
+            GinzburgLandau(eps),
+            SimplifiedOseenFrank(2.0, 1.0, 0.5, eps=eps),
+            ScaledOseenFrank(1.5, 1.0, 0.3, 0.2, 0.25, eps=eps),
+        ):
+            assert model.eps == eps and model.penalty_weight == weight
 
 
 class TestEvaluate:
