@@ -69,14 +69,7 @@ def _pin_malloc_thresholds() -> None:
 
 
 def _outdir(args, config) -> str:
-    if args.outdir:
-        return args.outdir
-    env = os.environ.get("ELGAL_OUTDIR")
-    if env:
-        return env
-    if getattr(config, "outdir", ""):
-        return config.outdir
-    return "."
+    return args.outdir or os.environ.get("ELGAL_OUTDIR") or config.outdir or "."
 
 
 def _cmd_run(args) -> int:
@@ -102,6 +95,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_validate(args) -> int:
     config = parse_config(args.config)
+    config.check_records()
     # The system run builds, with the [initial] directives resolved as run
     # resolves them and its grid sized on that state as run sizes it; the
     # dissipativity verdict is printed here, not refused.

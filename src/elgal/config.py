@@ -34,9 +34,9 @@ Sections and keys (defaults in brackets):
     director_energy_decay_rate  director_energy_decay_rtol [1e-8]
     residual_cap                cross_identically_zero [off]
     A tolerance (energy_slack, *_rtol) is refused without its assertion;
-    tolerances and residual_cap must be nonnegative.  residual_cap needs a
-    run of at least three ledger records, the other assertions but
-    cross_identically_zero at least two.
+    tolerances and residual_cap must be nonnegative.  run and validate refuse
+    residual_cap on a ledger of fewer than three records, the other assertions
+    but cross_identically_zero on one of fewer than two.
 
 Unknown sections or keys are rejected, naming the offender.  The [model]
 types and their keys come from one table, ``_MODELS``: an energy type is its
@@ -123,6 +123,10 @@ class SimulationConfig:
         n_steps = round(self.t_end / self.dt)
         if abs(n_steps * self.dt - self.t_end) > 1e-9 * max(self.dt, self.t_end):
             raise ConfigError("key 't_end': must be an integer multiple of dt (fixed-step scheme)")
+
+    def check_records(self) -> None:
+        """Refuse an [assert] key that compares more ledger records than a run makes."""
+        n_steps = round(self.t_end / self.dt)
         records = -(-n_steps // self.record_every) + 1  # steps 0, record_every, ..., and the last
         for key in self.assertions:
             if records < _MIN_RECORDS.get(key, 1):
@@ -233,10 +237,10 @@ def _number(key: str, text: str) -> float:
 _DIRECTIVE_VALUES = {"zero": 0, "constant": 3, "mode": 6, "random": 2}
 
 
-def _parse_directive(sec: _Section, key: str, default=("zero",), allow_constant=False):
+def _parse_directive(sec: _Section, key: str, allow_constant=False):
     raw = sec.get(key)
     if raw is None:
-        return default
+        return ("zero",)
     kind, *args = raw.split() or ("",)
     kind = kind.lower()
     if kind not in _DIRECTIVE_VALUES or (kind == "constant" and not allow_constant):

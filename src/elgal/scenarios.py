@@ -164,6 +164,7 @@ def run_scenario(scenario: Scenario, outdir: str = ".") -> ScenarioOutcome:
     On blow-up the ledger of the records made so far and a report naming
     the last good time are written before the ``BlowUpError`` propagates.
     """
+    scenario.config.check_records()
     os.makedirs(outdir, exist_ok=True)
     ledger_path = os.path.join(outdir, scenario.config.ledger_name)
     report_path = os.path.join(outdir, f"{scenario.name}_report.txt")

@@ -42,7 +42,7 @@ smallest even n >= 8 with P k_max < n, capped at N (``transform_grid``).
 A non-polynomial F has no P and keeps N there; ``fit_transform_grid`` then
 measures the smallest grid whose q_hat at t = 0 matches N's to rounding,
 and ``run`` re-checks that at every record and moves to N for good when it
-fails.  All three move a system with ``GalerkinSystem.on_grid``.
+fails.  Each grid decision is constructed as one ``GalerkinSystem``.
 
 Time stepping is fixed-step integrating-factor RK4 on the stacked
 coefficient vector u = (v_hat, d_hat): its diagonal linear part ``lin``
@@ -115,7 +115,7 @@ class StateFields(NamedTuple):
 
 
 class GalerkinSystem:
-    """Bundles grid, bases, free energy, and viscosities into one vector field."""
+    """Bases, energy, viscosities and velocity forcing ``forcing_v_hat`` on the grid decision ``transform``."""
 
     def __init__(
         self,
@@ -123,22 +123,17 @@ class GalerkinSystem:
         coeffs: LeslieCoefficients,
         velocity_basis: VelocityBasis,
         director_basis: DirectorBasis,
-        forcing_v_hat: np.ndarray | None = None,
-        transform: TransformGrid | None = None,
+        forcing_v_hat: np.ndarray,
+        transform: TransformGrid,
     ):
         self.grid = grid = velocity_basis.grid
         if director_basis.grid != grid:
             raise ValueError("both bases must be on one grid (see on_grid)")
-        # The grid decision this system runs on; by default the bases' grid is N.
-        if transform is None:
-            transform = transform_grid(grid.n, model, velocity_basis, director_basis)._replace(n_q=grid.n)
         self.transform = transform
         self.model = model
         self.coeffs = coeffs
         self.velocity_basis = velocity_basis
         self.director_basis = director_basis
-        if forcing_v_hat is None:
-            forcing_v_hat = np.zeros(velocity_basis.size)
         self.forcing_v_hat = np.asarray(forcing_v_hat, dtype=float)
         if self.forcing_v_hat.shape != (velocity_basis.size,):
             raise ValueError("forcing coefficient vector does not match the velocity basis")
@@ -369,7 +364,7 @@ def fit_transform_grid(system: GalerkinSystem, state: SpectralState) -> Galerkin
     pairing exact (``FLOW_DEGREE``) up to N - 2.  ``system`` itself comes
     back when F is polynomial (``build_system`` already sized it), when it
     holds data sampled on the N grid, when no candidate lies below N or
-    when none passes.  Candidates are built by ``system.on_grid``.
+    when none passes.  A candidate re-homes only the director basis.
     """
     tg = system.transform
     start = transform_grid_size(tg.n, tg.k_max, FLOW_DEGREE)
@@ -377,11 +372,11 @@ def fit_transform_grid(system: GalerkinSystem, state: SpectralState) -> Galerkin
         return system
     q_ref = system.director_eval(state.d_hat)[2]
     for n_q in range(start, tg.n, 2):
-        candidate = system.on_grid(SpectralGrid(n_q, tg.k_max), tg._replace(n_q=n_q))
-        q_hat = energy_gradient(system.model, candidate.director_basis, state.d_hat)[2]
+        grid = SpectralGrid(n_q, tg.k_max)
+        q_hat = energy_gradient(system.model, system.director_basis.on_grid(grid), state.d_hat)[2]
         estimate = _alias_error(q_hat, q_ref)
         if estimate <= ALIAS_TOL:
-            return candidate.on_grid(candidate.grid, candidate.transform._replace(estimate=estimate))
+            return system.on_grid(grid, tg._replace(n_q=n_q, estimate=estimate))
     return system
 
 
@@ -400,8 +395,8 @@ def build_system(config: SimulationConfig) -> GalerkinSystem:
     dirb = build_director_basis(model.d2F_dS2_const(), grid, config.n_d)
     forcing = _coefs_from_directive(config.forcing_velocity, vel, "velocity")
     tg = transform_grid(config.n, model, vel, dirb)
-    full = GalerkinSystem(model, coeffs, vel, dirb, forcing_v_hat=forcing)
-    return full.on_grid(SpectralGrid(tg.n_q, tg.k_max), tg)
+    grid = SpectralGrid(tg.n_q, tg.k_max)
+    return GalerkinSystem(model, coeffs, vel.on_grid(grid), dirb.on_grid(grid), forcing, tg)
 
 
 @dataclass

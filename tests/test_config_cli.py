@@ -564,14 +564,35 @@ class TestCli:
         assert capsys.readouterr().err == "config error: key 'residual_cap': needs at least 3 ledger records, got 2\n"
         assert not (tmp_path / "gl_mixing_ledger.csv").exists()
 
+    def test_short_ledger_is_refused_only_where_assertions_are_evaluated(self, tmp_path, capsys):
+        # gl_mixing.cfg over 10 steps, recorded at 0 and 10: run and validate
+        # refuse its residual_cap, but convergence (which records every step
+        # itself) and inequalities evaluate no assertion.
+        text = (CONFIGS / "gl_mixing.cfg").read_text()
+        assert text.count("t_end = 0.5\n") == 1 and text.count("record_every = 5\n") == 1
+        text = text.replace("t_end = 0.5\n", "t_end = 0.01\n")
+        short = write(tmp_path, text.replace("record_every = 5\n", "record_every = 1000\n"), "short.cfg")
+        every = write(tmp_path, text.replace("record_every = 5\n", "record_every = 1\n"), "every.cfg")
+        assert main(["validate", short]) == 2
+        assert capsys.readouterr().err == "config error: key 'residual_cap': needs at least 3 ledger records, got 2\n"
+        assert main(["convergence", every]) == 0
+        table = capsys.readouterr()
+        assert main(["convergence", short]) == 0
+        assert capsys.readouterr() == table and table.err == "" and table.out.startswith("      dt ")
+        assert main(["inequalities", short]) == 0
+        out, err = capsys.readouterr()
+        assert err == "" and len(out.splitlines()) == 6
+
     @pytest.mark.parametrize("every, records", [(250, 3), (251, 3), (499, 3), (500, 2), (1, 501)])
     def test_residual_cap_counts_the_last_record(self, tmp_path, every, records):
         text = (CONFIGS / "gl_mixing.cfg").read_text().replace("record_every = 5\n", f"record_every = {every}\n")
+        cfg = parse_config(write(tmp_path, text))
         if records >= 3:
-            assert parse_config(write(tmp_path, text)).assertions["residual_cap"] == 1e-5
+            cfg.check_records()
+            assert cfg.assertions["residual_cap"] == 1e-5
         else:
             with pytest.raises(ConfigError, match=f"got {records}$"):
-                parse_config(write(tmp_path, text))
+                cfg.check_records()
 
     @pytest.mark.parametrize(
         "assertion, key",
@@ -584,10 +605,15 @@ class TestCli:
     @pytest.mark.parametrize("command", ["validate", "run", "convergence"])
     def test_assertion_on_one_record_is_config_error(self, tmp_path, capsys, command, assertion, key):
         # t_end = 0 makes one ledger record: nothing to difference or decay.
+        # convergence evaluates no assertion; it refuses the zero steps.
         text = RUNNABLE.split("[assert]")[0].replace("t_end = 0.02", "t_end = 0") + f"[assert]\n{assertion}\n"
         args = [command, write(tmp_path, text)] + (["--outdir", str(tmp_path)] if command == "run" else [])
         assert main(args) == 2
-        assert capsys.readouterr().err == f"config error: key '{key}': needs at least 2 ledger records, got 1\n"
+        if command == "convergence":
+            expected = "key 't_end': convergence needs at least 2 steps of dt, got 0"
+        else:
+            expected = f"key '{key}': needs at least 2 ledger records, got 1"
+        assert capsys.readouterr().err == f"config error: {expected}\n"
         assert not (tmp_path / "ledger.csv").exists()
 
     @pytest.mark.parametrize("command", ["validate", "run", "convergence"])
@@ -599,8 +625,12 @@ class TestCli:
         text = text.replace("t_end = 0.2\n", "t_end = 0\n") + "kinetic_decay_rate = 1000\nkinetic_decay_rtol = 0\n"
         args = [command, write(tmp_path, text)] + (["--outdir", str(tmp_path)] if command == "run" else [])
         assert main(args) == 2
+        if command == "convergence":
+            expected = "key 't_end': convergence needs at least 2 steps of dt, got 0"
+        else:
+            expected = "key 'energy_monotonic': needs at least 2 ledger records, got 1"
         out, err = capsys.readouterr()
-        assert out == "" and err == "config error: key 'energy_monotonic': needs at least 2 ledger records, got 1\n"
+        assert out == "" and err == f"config error: {expected}\n"
 
     def test_cross_identically_zero_runs_on_one_record(self, tmp_path, capsys):
         # Parodi's relation holds (kappa = 0), so the one record's cross is 0.
@@ -634,9 +664,9 @@ class TestCli:
                     refused = made < _MIN_RECORDS.get(key, 1)
                     if refused:
                         with pytest.raises(ConfigError, match=f"^key '{key}': .* got {made}$"):
-                            dataclasses.replace(cfg, assertions={key: payload})
+                            dataclasses.replace(cfg, assertions={key: payload}).check_records()
                     else:
-                        dataclasses.replace(cfg, assertions={key: payload})
+                        dataclasses.replace(cfg, assertions={key: payload}).check_records()
 
     def test_validate_passes_for_accepted_setup(self, tmp_path, capsys):
         assert main(["validate", write(tmp_path, MINIMAL)]) == 0

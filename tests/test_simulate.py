@@ -753,7 +753,8 @@ class TestTransformGrid:
             initial_velocity=("random", 2, 0.05),
             initial_director=("random", 3, 0.1),
         )
-        system = GalerkinSystem(model, cfg.build_coefficients(), vel, dirb)
+        tg = transform_grid(16, model, vel, dirb)
+        system = GalerkinSystem(model, cfg.build_coefficients(), vel, dirb, np.zeros(vel.size), tg)
         monkeypatch.setattr(simulate, "build_system", lambda config: system)
         result = run(cfg)
         assert result.system is system and system.grid.n == 16
@@ -827,6 +828,34 @@ class TestTransformGrid:
         fitted = fit_transform_grid(system, initial_state(cfg, system))
         assert len(inits) == built and fitted.grid.n == n_q
 
+    @pytest.mark.parametrize("cfg, fitted", [(_base_config(n=16), False), (_scof_n16(1), True)])
+    def test_one_system_per_grid_decision(self, cfg, fitted, monkeypatch):
+        # build_system constructs one system, on the sized grid.  The fit
+        # re-homes the director basis for each candidate (8 fails, 10 passes)
+        # and constructs only the passing grid's system.
+        systems, moves = [], []
+        init, on_grid = GalerkinSystem.__init__, basis_module._TrigBasis.on_grid
+
+        def counted_init(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            systems.append(self.transform)
+
+        def counted_on_grid(self, grid):
+            moves.append((type(self).__name__, grid.n))
+            return on_grid(self, grid)
+
+        monkeypatch.setattr(GalerkinSystem, "__init__", counted_init)
+        monkeypatch.setattr(basis_module._TrigBasis, "on_grid", counted_on_grid)
+        system = build_system(cfg)
+        assert systems == [system.transform] and len(moves) == 2
+        del systems[:], moves[:]
+        fitted_system = fit_transform_grid(system, initial_state(cfg, system))
+        if not fitted:
+            assert fitted_system is system and systems == moves == []
+            return
+        assert systems == [fitted_system.transform] and fitted_system.grid.n == 10
+        assert moves == [("DirectorBasis", 8), ("DirectorBasis", 10), ("VelocityBasis", 10), ("DirectorBasis", 10)]
+
     def test_blow_up_carries_the_fitted_grid(self):
         cfg = _scof_n16(
             1,
@@ -886,7 +915,9 @@ class TestTransformGrid:
         assert s.grid == SpectralGrid(16, 1)
         for grid in (SpectralGrid(16), SpectralGrid(8, 1)):
             with pytest.raises(ValueError):
-                GalerkinSystem(s.model, s.coeffs, s.velocity_basis.on_grid(grid), s.director_basis)
+                GalerkinSystem(
+                    s.model, s.coeffs, s.velocity_basis.on_grid(grid), s.director_basis, s.forcing_v_hat, s.transform
+                )
 
     @pytest.mark.parametrize("name", ["sof_twist.cfg", "gl_mixing.cfg"])
     def test_ledger_matches_configured_grid(self, name, monkeypatch):
@@ -900,7 +931,8 @@ class TestTransformGrid:
             s.coeffs,
             s.velocity_basis.on_grid(grid),
             s.director_basis.on_grid(grid),
-            forcing_v_hat=s.forcing_v_hat,
+            s.forcing_v_hat,
+            s.transform._replace(n_q=cfg.n),
         )
         monkeypatch.setattr(simulate, "build_system", lambda config: full)
         reference = run(cfg)
